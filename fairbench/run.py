@@ -62,12 +62,6 @@ def run_workload(
         try:
             workload.setup()
             setup_s = time.perf_counter() - started
-            if workload.redraws:
-                print(
-                    f"set-up redrew {workload.redraws} seeded input(s) that hit "
-                    "solve_opt_k's status-4 fault",
-                    file=sys.stderr,
-                )
             # items per second of request time, one figure per round; the
             # median over rounds shrugs off a round slowed by the machine
             round_rates = []

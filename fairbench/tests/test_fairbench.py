@@ -29,9 +29,9 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 SMALL = {
-    "release_stream": {"records": 4000, "features": 2},
+    "release_stream": {"records": 4000},
     "design_grid": {"per_k": 2, "binary": 2, "fixed": 1, "sample_every": 1},
-    "fairness_sweep": {"records": 2000, "trials": 1, "epsilons": (1.0,)},
+    "fairness_sweep": {"records": 2000, "epsilons": (1.0,)},
 }
 
 
@@ -165,6 +165,22 @@ def test_sweep_check_fails_on_corrupted_report():
         assert sweep.check()
     finally:
         shutil.rmtree(out, ignore_errors=True)
+
+
+def test_seeded_inputs_do_not_reach_the_solver_fault():
+    # stratified tables: the same empirical distribution for every seed
+    tables = [workloads.stratified_planted(3000, workloads.KARY_TABLE, seed) for seed in (1, 2)]
+    dists = [fl.estimate_distribution(table) for table in tables]
+    assert np.array_equal(dists[0].group_probs, dists[1].group_probs)
+    assert np.array_equal(dists[0].pos_rates, dists[1].pos_rates)
+    assert not np.array_equal(tables[0].feature_columns["x1"], tables[1].feature_columns["x1"])
+    # design_grid: the seed picks pool draws, never a listed faulting one
+    grid = workloads.DesignGrid(3, run.OUT, None)
+    grid.setup()
+    faults = [workloads.pool_instance(*draw) for draw in workloads.POOL_FAULTS]
+    seeded = grid.instances[: len(workloads.GRID_KS) * grid.sizes["per_k"]]
+    for inst in seeded:
+        assert not any(np.array_equal(inst[3], fault[3]) for fault in faults)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))

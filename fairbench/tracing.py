@@ -225,29 +225,31 @@ class Tracer:
             counts[parent] = counts.get(parent, 0) + 1
         return counts
 
-    def overhead_per_call(self, calls: int = 20000) -> tuple[float, float]:
-        """Measured added cost of one span and of one gd-step count, in s."""
+    def overhead_per_call(self, calls: int = 20000) -> tuple[float, float, float]:
+        """Measured added cost, in s, of one span, of one span with a
+        return hook, and of one gd-step count."""
 
         def noop():
             return None
 
         probe = Tracer()
-        spanned = probe._wrap("probe", noop)
-        counted = probe._count_gd_step(noop)
+        wrappers = (
+            probe._wrap("probe", noop),
+            probe._wrap("probe", noop, lambda args, res: {"records": len(args)}),
+            probe._count_gd_step(noop),
+        )
         clock = time.perf_counter
         t0 = clock()
         for _ in range(calls):
             noop()
         raw = clock() - t0
-        t0 = clock()
-        for _ in range(calls):
-            spanned()
-        span = clock() - t0
-        t0 = clock()
-        for _ in range(calls):
-            counted()
-        count = clock() - t0
-        return max(span - raw, 0.0) / calls, max(count - raw, 0.0) / calls
+        costs = []
+        for wrapper in wrappers:
+            t0 = clock()
+            for _ in range(calls):
+                wrapper()
+            costs.append(max(clock() - t0 - raw, 0.0) / calls)
+        return costs[0], costs[1], costs[2]
 
     def metrics(self) -> dict[str, tuple[float, str]]:
         """Every per-layer metric, as name -> (value, unit)."""
@@ -342,9 +344,13 @@ class Tracer:
         out["binary_design.opt_binary.calls"] = (calls("binary_design.opt_binary"), "count")
         out["synthetic.generate_planted.s"] = (total("synthetic.generate_planted"), "s")
 
-        per_span, per_count = self.overhead_per_call()
+        # an estimate: the wrappers' own cost per call times the calls made
+        per_span, per_hooked, per_count = self.overhead_per_call()
+        hooked = len(self.attrs)
         out["trace.overhead_s"] = (
-            len(self.starts) * per_span + self.gd_steps * per_count,
+            (len(self.starts) - hooked) * per_span
+            + hooked * per_hooked
+            + self.gd_steps * per_count,
             "s",
         )
         return out
