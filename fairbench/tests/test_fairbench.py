@@ -183,6 +183,17 @@ def test_seeded_inputs_do_not_reach_the_solver_fault():
         assert not any(np.array_equal(inst[3], fault[3]) for fault in faults)
 
 
+def test_timed_keeps_each_requests_fastest_repeat():
+    work = workloads.Workload(0, run.OUT)
+    for pauses in ((0.02, 0.0), (0.0, 0.01)):
+        for pause in pauses:
+            work.timed(time.sleep, pause)
+        work.rounds += 1
+    assert len(work.best_s) == 2
+    assert work.best_s[0] < 0.01 and work.best_s[1] < 0.005
+    assert work.attempted == 4
+
+
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_both_modes_print_declared_metrics(name):
     plain, failures = run.run_workload(name, 5, 0.01, False, time.perf_counter(), SMALL[name])

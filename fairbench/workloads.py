@@ -4,8 +4,9 @@ A workload builds its inputs in setup(), then the harness calls round()
 until the run's time is up; every round repeats the same operations on the
 same inputs, so counts of attempted and failed operations scale exactly
 with the number of rounds.  round() times each request the workload makes
-into fairldp and nothing else.  check() and trace_counts() run after the
-timed region.
+into fairldp and nothing else, and the run keeps each request's fastest
+time over its rounds.  check() and trace_counts() run after the timed
+region.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def stratified_planted(n: int, config: fl.PlantedConfig, seed: int):
 
 
 class Workload:
-    """Shared bookkeeping: request latencies, work items, operation counts."""
+    """Shared bookkeeping: fastest request times, work items, operation counts."""
 
     name = ""
     defaults: dict = {}
@@ -74,7 +75,9 @@ class Workload:
         self.out_dir = out_dir
         self.sizes = {**self.defaults, **(sizes or {})}
         self.rounds = 0
-        self.request_s: list[float] = []
+        self.requests = 0
+        # best_s[i]: the fastest time of a round's i-th request so far
+        self.best_s: list[float] = []
         self.items = 0
         self.attempted = 0
         self.failed = 0
@@ -82,12 +85,22 @@ class Workload:
     def rng(self, *stream: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, *stream])
 
-    def timed(self, fn, *args, operations: int = 1):
-        """One request: fn(*args), timed; it makes `operations` calls."""
+    def timed(self, fn, *args):
+        """One request, one operation: fn(*args), timed.
+
+        Every round makes the same requests in the same order, so the
+        request's place in its round names it across rounds.
+        """
         t0 = clock()
         result = fn(*args)
-        self.request_s.append(clock() - t0)
-        self.attempted += operations
+        spent = clock() - t0
+        if self.rounds == 0:
+            self.best_s.append(spent)
+        else:
+            i = self.requests % len(self.best_s)
+            self.best_s[i] = min(self.best_s[i], spent)
+        self.requests += 1
+        self.attempted += 1
         return result
 
     def setup(self) -> None:
@@ -120,7 +133,7 @@ class ReleaseStream(Workload):
     """One curator releases one large k=8 table three ways per round."""
 
     name = "release_stream"
-    defaults = {"records": 30000}
+    defaults = {"records": 15000}
 
     def setup(self) -> None:
         n = self.sizes["records"]
@@ -167,17 +180,10 @@ class ReleaseStream(Workload):
         self.first = None
         self.repeats_match = True
 
-    def release(self):
-        return (
-            fl.perturb_dataset(self.data, self.design.Q, self.release_seed),
-            fl.perturb_dataset(self.data, self.subset, self.release_seed),
-            fl.cmd_perturb(self.config, self.design_path, self.csv_out),
-        )
-
     def round(self) -> None:
-        # one request is the whole release by all three paths, so the
-        # request latency moves with each of them
-        matrix, subset, report = self.timed(self.release, operations=3)
+        matrix = self.timed(fl.perturb_dataset, self.data, self.design.Q, self.release_seed)
+        subset = self.timed(fl.perturb_dataset, self.data, self.subset, self.release_seed)
+        report = self.timed(fl.cmd_perturb, self.config, self.design_path, self.csv_out)
         self.items += 3 * self.data.n
         self.rounds += 1
         names = [f"group={v}" for v in self.literals]
@@ -253,10 +259,10 @@ class ReleaseStream(Workload):
 
 GRID_EPSILONS = (0.25, 0.5, 1.0, 2.0)
 GRID_KS = (3, 4, 5, 6, 8)
-# two tight draws to one loose per (k, epsilon): each class has a fixed LP
-# count (about 23 against 3), so a seed changes the mix of work only
-# through the draws, and the median design lands inside the tight cluster
-# rather than on the gap between the classes
+# two tight draws to one loose per k, with epsilon rotating over k: each
+# budget class has a fixed LP count (about 23 against 3), so a seed changes
+# the mix of work only through the draws, and the median design lands
+# inside the tight cluster rather than on the gap between the classes
 BUDGETS = ("tight", "tight", "loose")
 # The seeded k-ary instances come from a fixed pool of POOL draws per
 # (k, epsilon, budget) class; the seed picks which draws a run designs, so
@@ -280,7 +286,6 @@ FIXED_SEED = 20251116
 FIXED = (
     (10, 2.0, "tight"),
     (12, 1.0, "mid"),
-    (16, 0.5, "tight"),
     (16, 2.0, "loose"),
     (4, 4.0, "tight"),
     (6, 4.0, "mid"),
@@ -344,15 +349,17 @@ class DesignGrid(Workload):
     """Many independent (distribution, epsilon, zeta) design requests."""
 
     name = "design_grid"
-    defaults = {"per_k": 12, "binary": 4, "fixed": len(FIXED), "sample_every": 5}
+    # a small round, so that each design repeats about 20 times in a 30 s
+    # run and its fastest time comes from a moment the machine ran at speed
+    defaults = {"per_k": 3, "binary": 4, "fixed": len(FIXED), "sample_every": 2}
 
     def setup(self) -> None:
         self.instances = []
         picks: dict[tuple, list[int]] = {}
-        for k in GRID_KS:
+        for ki, k in enumerate(GRID_KS):
             for j in range(self.sizes["per_k"]):
-                e = j % len(GRID_EPSILONS)
-                tight = BUDGETS[(j // len(GRID_EPSILONS)) % len(BUDGETS)]
+                e = (ki + j) % len(GRID_EPSILONS)
+                tight = BUDGETS[j % len(BUDGETS)]
                 cls = (k, GRID_EPSILONS[e], tight)
                 if cls not in picks:
                     usable = [i for i in range(POOL) if (*cls, i) not in POOL_FAULTS]
@@ -461,7 +468,7 @@ class FairnessSweep(Workload):
     """The paper's experiment loop: cmd_sweep over mechanisms and budgets."""
 
     name = "fairness_sweep"
-    defaults = {"records": 8000, "epsilons": (0.5, 1.0, 2.0)}
+    defaults = {"records": 2500, "epsilons": (0.5, 1.0, 2.0)}
 
     def setup(self) -> None:
         n = self.sizes["records"]
@@ -496,9 +503,6 @@ class FairnessSweep(Workload):
         self.reports = []
         self.repeats_match = True
 
-    def sweep(self, epsilons: list[float]) -> list[dict]:
-        return [fl.cmd_sweep(config, epsilons, list(mechanisms)) for _, mechanisms, config in self.sweeps]
-
     def round(self) -> None:
         epsilons = list(self.sizes["epsilons"])
         original = pipeline.cmd_evaluate
@@ -512,10 +516,13 @@ class FairnessSweep(Workload):
 
             pipeline.cmd_evaluate = recording
         try:
-            # one request is the whole round of cmd_sweep calls: they differ
-            # in size, and a median over calls of two sizes would jump
-            # between them from run to run
-            payloads = self.timed(self.sweep, epsilons, operations=len(self.sweeps))
+            # each cmd_sweep call is a request with a fastest time of its
+            # own, so a slow spell must cover every repeat of one call, not
+            # of the whole round, to show
+            payloads = [
+                self.timed(fl.cmd_sweep, config, epsilons, list(mechanisms))
+                for _, mechanisms, config in self.sweeps
+            ]
         finally:
             pipeline.cmd_evaluate = original
         self.items += sum(len(names) for _, names, _ in self.sweeps) * len(epsilons) * TRIALS
