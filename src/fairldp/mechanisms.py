@@ -2,12 +2,16 @@
 
 Covers the randomized-response family (binary and k-ary), subset reports,
 exact privacy verification, the induced post-perturbation distribution, and
-seeded record-level perturbation of datasets.
+seeded record-level perturbation of datasets. Record i of a release draws
+from default_rng(seed ^ i); perturb_dataset reproduces those per-record
+streams for every record in one vectorised pass over NumPy's SeedSequence,
+PCG64 and Generator.choice algorithms instead of building a generator each.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,9 +316,198 @@ def record_rng(seed: int, index: int) -> np.random.Generator:
     """Per-record generator: record index i draws from seed XOR i.
 
     One root seed fixes every record's stream independently of processing
-    order, so perturbation is order-stable and parallelizable.
+    order, so perturbation is order-stable and parallelizable. This is the
+    definition of every record's draw; perturb_dataset computes the same
+    streams for all records at once rather than building one generator each.
     """
     return np.random.default_rng(seed ^ index)
+
+
+# Records per bulk pass of perturb_dataset: the kernel's temporaries are a few
+# dozen arrays of this length, whatever the dataset size.
+_CHUNK = 1 << 14
+
+_M32 = 0xFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+
+# SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+# PCG64's 128-bit LCG multiplier, as 64-bit halves and 32-bit limbs
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO = np.uint64(_PCG_MULT & _M64)
+_PCG_MULT_LO0 = np.uint64(_PCG_MULT & _M32)
+_PCG_MULT_LO1 = np.uint64((_PCG_MULT >> 32) & _M32)
+
+# Generator.choice(replace=False) runs Floyd's algorithm up to this population
+_FLOYD_MAX_POP = 10000
+
+
+def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(h)
+    h = (h * mult) & _M32
+    value *= np.uint32(h)
+    value ^= value >> _XSHIFT
+    return value, h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    result ^= result >> _XSHIFT
+    return result
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * MULT + inc mod 2^128 on (hi, lo) uint64 lanes."""
+    a0 = lo & np.uint64(_M32)
+    a1 = lo >> np.uint64(32)
+    p00 = a0 * _PCG_MULT_LO0
+    p01 = a0 * _PCG_MULT_LO1
+    p10 = a1 * _PCG_MULT_LO0
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
+    carry_hi = (
+        a1 * _PCG_MULT_LO1
+        + (p01 >> np.uint64(32))
+        + (p10 >> np.uint64(32))
+        + (mid >> np.uint64(32))
+    )
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = carry_hi + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi
+    new_hi += (new_lo < inc_lo).astype(np.uint64)
+    return new_hi, new_lo
+
+
+def _record_outputs(seed: int, start: int, stop: int, m: int) -> np.ndarray:
+    """First m uint64 outputs of record_rng(seed, i) for i in [start, stop).
+
+    Runs NumPy's SeedSequence pool mixing and generate_state on uint32 lanes,
+    seeds PCG64 from that state (state 0, step, add the seed, step) and takes
+    one XSL-RR output per step. Shape (stop - start, m).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        np.random.SeedSequence(seed)  # raises default_rng's own ValueError
+    low = np.uint64(seed & _M64) ^ np.arange(start, stop, dtype=np.uint64)
+    # seed XOR i as uint32 words; a word past the integer's length and a zero
+    # word mix the same way inside the pool, so the first four are always set
+    words = [
+        (low & np.uint64(_M32)).astype(np.uint32),
+        (low >> np.uint64(32)).astype(np.uint32),
+    ]
+    high = seed >> 64
+    while high or len(words) < _POOL_SIZE:
+        words.append(np.array([high & _M32], dtype=np.uint32))
+        high >>= 32
+
+    h = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        mixed, h = _hashmix(word, h, _MULT_A)
+        pool.append(mixed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], mixed)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            mixed, h = _hashmix(word, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], mixed)
+
+    # generate_state(4, uint64): eight uint32 words paired little-endian
+    h = _INIT_B
+    state = []
+    for t in range(8):
+        value, h = _hashmix(pool[t % _POOL_SIZE], h, _MULT_B)
+        state.append(value.astype(np.uint64))
+    seed_hi = state[0] | (state[1] << np.uint64(32))
+    seed_lo = state[2] | (state[3] << np.uint64(32))
+    seq_hi = state[4] | (state[5] << np.uint64(32))
+    seq_lo = state[6] | (state[7] << np.uint64(32))
+
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < seed_lo).astype(np.uint64)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
+    out = np.empty((stop - start, m), dtype=np.uint64)
+    for t in range(m):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
+        out[:, t] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return out
+
+
+def _uniforms(outputs: np.ndarray) -> np.ndarray:
+    """Generator.random() from uint64 outputs: the top 53 bits over 2^53."""
+    return (outputs >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _floyd(draws: np.ndarray, pop: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator.choice(pop, size, replace=False) as a membership mask.
+
+    draws holds each row's uint32 stream, one column per bounded draw; a
+    bound of zero draws nothing. Bounded draws follow Lemire's method; a row
+    whose draw lands in the rejection zone, where NumPy would draw again, is
+    flagged instead. Returns (chosen, rejected).
+    """
+    rows = np.arange(draws.shape[0])
+    chosen = np.zeros((rows.size, pop), dtype=bool)
+    rejected = np.zeros(rows.size, dtype=bool)
+    col = 0
+    for j in range(pop - size, pop):
+        if j == 0:
+            pick = np.zeros(rows.size, dtype=np.intp)
+        else:
+            scaled = draws[:, col].astype(np.uint64) * np.uint64(j + 1)
+            col += 1
+            rejected |= (scaled & np.uint64(_M32)) < np.uint64(2**32 % (j + 1))
+            pick = (scaled >> np.uint64(32)).astype(np.intp)
+        chosen[rows, np.where(chosen[rows, pick], j, pick)] = True
+    return chosen, rejected
+
+
+def _subset_indicators(sensitive, params: SsParams, seed: int, start: int) -> np.ndarray:
+    """0/1 indicator rows of ss_perturb for records start, start + 1, ..."""
+    k, omega = params.k, params.omega
+    pop = k - 1
+    c = sensitive.shape[0]
+    sizes = {True: omega - 1, False: omega}
+    # 32-bit draws of the larger subset; a bound-zero step takes none
+    draws_needed = omega - (omega == pop)
+    outputs = _record_outputs(seed, start, start + c, 1 + (draws_needed + 1) // 2)
+    include = _uniforms(outputs[:, 0]) < params.p_true
+    rest = outputs[:, 1:]
+    draws = np.empty((c, 2 * rest.shape[1]), dtype=np.uint32)
+    draws[:, 0::2] = rest & np.uint64(_M32)
+    draws[:, 1::2] = rest >> np.uint64(32)
+
+    chosen = np.zeros((c, pop), dtype=bool)
+    rejected = np.zeros(c, dtype=bool)
+    for inc, size in sizes.items():
+        rows = include == inc
+        chosen[rows], rejected[rows] = _floyd(draws[rows], pop, size)
+    # others = [v for v in range(k) if v != a]: position p holds p + (p >= a)
+    shifted = np.arange(pop) >= sensitive[:, None]
+    ind = np.zeros((c, k), dtype=bool)
+    ind[:, :pop] = chosen & ~shifted
+    ind[:, 1:] |= chosen & shifted
+    ind[np.arange(c), sensitive] |= include
+    for i in np.flatnonzero(rejected):
+        report = ss_perturb(int(sensitive[i]), params, record_rng(seed, start + i))
+        ind[i] = False
+        ind[i, list(report.members)] = True
+    return ind
 
 
 def perturb_dataset(dataset, mech, seed: int):
@@ -324,6 +517,11 @@ def perturb_dataset(dataset, mech, seed: int):
     SsParams (the output subsets are encoded as k indicator columns).
     Features and labels are untouched. Fully reproducible from (seed,
     record order).
+
+    Record i's draw is defined by record_rng(seed, i), that is
+    default_rng(seed ^ i): one random() through the row's cumulative
+    distribution, or ss_perturb. The streams of all records are computed
+    together, chunk by chunk, and give the same bits as the per-record loop.
     """
     from .dataset import SubsetPerturbedDataset, TabularDataset
 
@@ -333,10 +531,15 @@ def perturb_dataset(dataset, mech, seed: int):
         cum = np.cumsum(mech.entries, axis=1)
         cum[:, -1] = 1.0
         sensitive = np.asarray(dataset.sensitive)
+        n = sensitive.shape[0]
+        u = np.empty(n)
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            u[start:stop] = _uniforms(_record_outputs(seed, start, stop, 1)[:, 0])
         out = np.empty_like(sensitive)
-        for i in range(sensitive.shape[0]):
-            u = record_rng(seed, i).random()
-            out[i] = int(np.searchsorted(cum[sensitive[i]], u, side="right"))
+        for a in range(mech.k):
+            rows = sensitive == a
+            out[rows] = np.searchsorted(cum[a], u[rows], side="right")
         return TabularDataset(
             feature_columns=dict(dataset.feature_columns),
             sensitive=out,
@@ -353,10 +556,16 @@ def perturb_dataset(dataset, mech, seed: int):
         sensitive = np.asarray(dataset.sensitive)
         n = sensitive.shape[0]
         indicators = np.zeros((n, dataset.k), dtype=float)
-        for i in range(n):
-            report = ss_perturb(int(sensitive[i]), mech, record_rng(seed, i))
-            for v in report.members:
-                indicators[i, v] = 1.0
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            if mech.k - 1 > _FLOYD_MAX_POP:
+                for i in range(start, stop):
+                    report = ss_perturb(int(sensitive[i]), mech, record_rng(seed, i))
+                    indicators[i, list(report.members)] = 1.0
+            else:
+                indicators[start:stop] = _subset_indicators(
+                    sensitive[start:stop], mech, seed, start
+                )
         columns = {
             f"{dataset.sensitive_name}={dataset.sensitive_values[v]}": indicators[:, v]
             for v in range(dataset.k)

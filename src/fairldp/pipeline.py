@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -415,31 +416,31 @@ def cmd_perturb(
     sens_idx = header.index(config.columns.sensitive)
     stamp = f"{COMMENT_PREFIX} seed={config.seed} mechanism={_payload_hash(payload)}"
 
-    out_lines: list[list[str]] = []
     if isinstance(mech, SsParams):
         names = [
             f"{dataset.sensitive_name}={v}" for v in dataset.sensitive_values
         ]
-        out_lines.append(
-            header[:sens_idx] + names + header[sens_idx + 1 :]
+        header = header[:sens_idx] + names + header[sens_idx + 1 :]
+        cells = (
+            np.stack([result.indicator_columns[name] for name in names], axis=1)
+            .astype(int)
+            .astype(str)
+            .tolist()
         )
-        indicators = np.stack(
-            [result.indicator_columns[name] for name in names], axis=1
-        ).astype(int)
-        for i, row in enumerate(rows):
-            cells = [str(v) for v in indicators[i]]
-            out_lines.append(row[:sens_idx] + cells + row[sens_idx + 1 :])
+        rows = [
+            row[:sens_idx] + flags + row[sens_idx + 1 :]
+            for row, flags in zip(rows, cells)
+        ]
     else:
-        out_lines.append(header)
-        for i, row in enumerate(rows):
-            new = list(row)
-            new[sens_idx] = dataset.sensitive_values[int(result.sensitive[i])]
-            out_lines.append(new)
+        literals = np.array(dataset.sensitive_values, dtype=object)
+        for row, literal in zip(rows, literals[result.sensitive]):
+            row[sens_idx] = literal
 
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(stamp + "\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(out_lines)
+        writer.writerow(header)
+        writer.writerows(rows)
     return {
         "schema_version": SCHEMA_VERSION,
         "out": str(out_path),
@@ -528,7 +529,8 @@ def cmd_evaluate(
 
     trials = range(config.split.trials)
     if parallel:
-        with ThreadPoolExecutor(max_workers=min(8, config.split.trials)) as pool:
+        workers = min(os.cpu_count() or 1, config.split.trials)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_trial, trials))
     else:
         rows = [run_trial(t) for t in trials]

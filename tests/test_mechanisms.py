@@ -7,18 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairldp import mechanisms
 from fairldp.dataset import SubsetPerturbedDataset, TabularDataset
 from fairldp.distribution import JointDistribution, delta_prime, estimate_distribution
 from fairldp.errors import AlphabetMismatch, DegenerateOutput, InvalidEpsilon
+from fairldp.kary_design import SolverConfig, min_achievable_error, solve_opt_k
 from fairldp.mechanisms import (
     BinaryMechanism,
     MechanismMatrix,
+    SsParams,
     SubsetReport,
     grr_matrix,
     induced_distribution,
     matrix_of_binary,
     perturb_dataset,
     privacy_level,
+    record_rng,
     rr_mechanism,
     ss_params,
     ss_perturb,
@@ -368,6 +372,186 @@ class TestPerturbDataset:
         out = perturb_dataset(ds, ss_params(2, 1.0), seed=5)
         with pytest.raises(TypeError):
             estimate_distribution(out)
+
+
+# seeds on both sides of 2^32 and 2^64: the record seed seed ^ i spans one to
+# five 32-bit entropy words
+EXACT_SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 2**33 + 5, 2**130 + 7)
+
+
+def loop_matrix_release(ds, Q, seed):
+    """The per-record definition: one record_rng(seed, i).random() per row."""
+    cum = np.cumsum(Q.entries, axis=1)
+    cum[:, -1] = 1.0
+    return np.array(
+        [
+            int(np.searchsorted(cum[a], record_rng(seed, i).random(), side="right"))
+            for i, a in enumerate(ds.sensitive)
+        ]
+    )
+
+
+def loop_subset_release(ds, params, seed):
+    """The per-record definition: ss_perturb with record_rng(seed, i)."""
+    out = np.zeros((ds.n, ds.k))
+    for i, a in enumerate(ds.sensitive):
+        for v in ss_perturb(int(a), params, record_rng(seed, i)).members:
+            out[i, v] = 1.0
+    return out
+
+
+def stacked_indicators(released):
+    return np.stack(list(released.indicator_columns.values()), axis=1)
+
+
+def random_codes(k, n, salt):
+    return make_dataset(np.random.default_rng(salt).integers(0, k, n), k=k)
+
+
+class TestBulkReleaseExact:
+    """The one-pass release equals the per-record loop bit for bit."""
+
+    def test_raw_outputs_match_default_rng(self):
+        for seed in EXACT_SEEDS:
+            # the window crosses index 2^32, where seed ^ i gains a word
+            start = 2**32 - 3
+            got = mechanisms._record_outputs(seed, start, start + 6, 3)
+            for r in range(6):
+                raw = np.random.default_rng(seed ^ (start + r)).bit_generator.random_raw(3)
+                assert np.array_equal(got[r], raw)
+
+    @pytest.mark.parametrize("seed", EXACT_SEEDS)
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_matrix_release(self, seed, k):
+        ds = random_codes(k, 400, k)
+        rows = np.random.default_rng(k).dirichlet(np.full(k, 0.3), size=k)
+        Q = MechanismMatrix(k, rows)
+        out = perturb_dataset(ds, Q, seed)
+        assert np.array_equal(out.sensitive, loop_matrix_release(ds, Q, seed))
+
+    @pytest.mark.parametrize("seed", EXACT_SEEDS)
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_subset_release(self, seed, k):
+        ds = random_codes(k, 300, k)
+        # omega = 1 never calls choice when the truth is kept; omega = k - 1
+        # without the truth has the bound-zero step that draws nothing
+        omegas = {1, k - 1, ss_params(k, 1.0).omega}
+        for omega in sorted(omegas):
+            params = SsParams(omega=omega, p_true=0.6, k=k, epsilon=1.0)
+            out = perturb_dataset(ds, params, seed)
+            expected = loop_subset_release(ds, params, seed)
+            assert np.array_equal(stacked_indicators(out), expected), omega
+
+    def test_subset_release_past_floyd_population(self):
+        # above 10 000 others and 1/50 of them, choice shuffles instead
+        k = mechanisms._FLOYD_MAX_POP + 2
+        ds = make_dataset([0, 5, k - 1, 17], k=k)
+        params = SsParams(omega=300, p_true=0.5, k=k, epsilon=1.0)
+        out = perturb_dataset(ds, params, 2**32 + 1)
+        assert np.array_equal(stacked_indicators(out), loop_subset_release(ds, params, 2**32 + 1))
+
+    def test_matrices_with_zero_entries(self):
+        ds = random_codes(5, 2000, 3)
+        identity = MechanismMatrix(5, np.eye(5))
+        assert np.array_equal(perturb_dataset(ds, identity, 11).sensitive, ds.sensitive)
+        # zero entries in every row and a column that is never reported
+        holes = np.array(
+            [
+                [0.0, 0.5, 0.0, 0.5, 0.0],
+                [0.0, 0.0, 0.25, 0.75, 0.0],
+                [0.3, 0.0, 0.0, 0.7, 0.0],
+                [0.0, 0.0, 0.0, 1.0, 0.0],
+                [0.125, 0.375, 0.5, 0.0, 0.0],
+            ]
+        )
+        Q = MechanismMatrix(5, holes)
+        for seed in EXACT_SEEDS:
+            out = perturb_dataset(ds, Q, seed)
+            assert np.array_equal(out.sensitive, loop_matrix_release(ds, Q, seed))
+        assert not np.any(out.sensitive == 4)
+
+    def test_draws_on_a_cumulative_boundary_skip_zero_entries(self, monkeypatch):
+        # u = 0, 1/2 and 3/4 sit exactly on cumulative sums of a row with
+        # zero entries; searchsorted(side="right") never reports those values
+        ds = make_dataset([0, 0, 0, 1, 1, 1], k=4)
+        Q = MechanismMatrix(
+            4,
+            np.array(
+                [
+                    [0.0, 0.5, 0.0, 0.5],
+                    [0.0, 0.75, 0.0, 0.25],
+                    [0.25, 0.25, 0.25, 0.25],
+                    [0.25, 0.25, 0.25, 0.25],
+                ]
+            ),
+        )
+        u = np.array([0.0, 0.5, 0.75, 0.0, 0.5, 0.75])
+
+        def crafted_outputs(seed, start, stop, m):
+            return (u[start:stop, None] * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+        monkeypatch.setattr(mechanisms, "_record_outputs", crafted_outputs)
+        out = perturb_dataset(ds, Q, 0)
+        assert out.sensitive.tolist() == [1, 3, 3, 1, 1, 3]
+
+    def test_optkary_design(self):
+
+        dist = JointDistribution.from_rates(
+            np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.2, 0.4, 0.6, 0.8])
+        )
+        floor = min_achievable_error(dist, 1.0)
+        Q = solve_opt_k(dist, SolverConfig(epsilon=1.0, zeta=floor + 0.1 * (1 - floor))).Q
+        ds = random_codes(4, 3000, 4)
+        out = perturb_dataset(ds, Q, 2**40 + 1)
+        assert np.array_equal(out.sensitive, loop_matrix_release(ds, Q, 2**40 + 1))
+
+    def test_several_chunks(self):
+        n = 2 * mechanisms._CHUNK + 123
+        ds = random_codes(6, n, 6)
+        seed = 2**62 + 9
+        Q = grr_matrix(6, 1.0)
+        out = perturb_dataset(ds, Q, seed)
+        assert np.array_equal(out.sensitive, loop_matrix_release(ds, Q, seed))
+        params = ss_params(6, 0.5)
+        out = perturb_dataset(ds, params, seed)
+        assert np.array_equal(stacked_indicators(out), loop_subset_release(ds, params, seed))
+
+    def test_negative_seed_raises_like_default_rng(self):
+        ds = random_codes(3, 10, 0)
+        with pytest.raises(ValueError) as expected:
+            record_rng(-5, 0)
+        for mech in (grr_matrix(3, 1.0), ss_params(3, 1.0)):
+            with pytest.raises(ValueError) as bulk:
+                perturb_dataset(ds, mech, -5)
+            assert str(bulk.value) == str(expected.value)
+
+    def test_rejected_bounded_draw_falls_back_to_ss_perturb(self, monkeypatch):
+        # a zero 32-bit draw lands in Lemire's rejection zone whenever the
+        # bound + 1 is not a power of two: here bounds 4 and 5 (k = 8, omega = 3)
+        ds = random_codes(8, 500, 8)
+        params = SsParams(omega=3, p_true=0.5, k=8, epsilon=1.0)
+        seed = 2**33 + 3
+        expected = loop_subset_release(ds, params, seed)
+        crafted = np.arange(0, 500, 7)
+        real_outputs = mechanisms._record_outputs
+
+        def outputs_with_rejections(seed, start, stop, m):
+            out = real_outputs(seed, start, stop, m)
+            out[crafted, 1] &= np.uint64(0xFFFFFFFF00000000)
+            return out
+
+        fallback_rows = []
+        real_ss_perturb = mechanisms.ss_perturb
+
+        def spy(a, params, rng):
+            fallback_rows.append(a)
+            return real_ss_perturb(a, params, rng)
+
+        monkeypatch.setattr(mechanisms, "_record_outputs", outputs_with_rejections)
+        monkeypatch.setattr(mechanisms, "ss_perturb", spy)
+        out = perturb_dataset(ds, params, seed)
+        assert fallback_rows == [int(a) for a in ds.sensitive[crafted]]
+        assert np.array_equal(stacked_indicators(out), expected)
 
 
 class TestSerialization:

@@ -1,11 +1,13 @@
 """Tests for run configuration, the five commands, and the CLI surface."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from fairldp import pipeline
 from fairldp.cli import main
 from fairldp.dataset import ColumnsConfig, export_csv, ingest_csv
 from fairldp.distribution import delta, delta_prime, estimate_distribution
@@ -454,6 +456,62 @@ class TestCmdPerturb:
             cmd_perturb(cfg, tmp_path / "absent.json", tmp_path / "out.csv")
 
 
+# sha256 of cmd_perturb's output on pinned_release_csv, recorded from a loop
+# that built one default_rng(seed ^ i) per record, the definition of each
+# record's draw; no change to how a release is computed may move a byte
+PINNED_RELEASE_SHA256 = {
+    "matrix": "289bf419f4e374312970e719643a3d99cb16db9674628e1cf1be0b4abe6300f4",
+    "subset": "787695931f8b4fa8083c06c70c764c6800d9fea8712545268e51308ebda4b251",
+}
+
+
+@pytest.fixture(scope="session")
+def pinned_release_csv(tmp_path_factory):
+    # five group literals, labels, a numeric and a quoted categorical feature
+    # planted by integer formulas only, so the input bytes never move
+    path = tmp_path_factory.mktemp("data") / "pinned.csv"
+    literals = ("north", "south", "east", "west", "centre")
+    cities = ("Oslo", "Lyon, FR", "Graz")
+    lines = ["x,city,group,label"]
+    for i in range(6000):
+        g = (i * i + 3 * i + i // 7) % 5
+        label = 1 if (i * 13 + g) % 10 < 2 + g else 0
+        city = cities[(i // 3) % 3]
+        lines.append(f'{(i * 37) % 101 / 8},"{city}",{literals[g]},{label}')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestReleaseBytesPinned:
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            (
+                "matrix",
+                {
+                    "k": 5,
+                    "entries": [
+                        [0.6, 0.3, 0.0, 0.1, 0.0],
+                        [0.0, 0.55, 0.45, 0.0, 0.0],
+                        [0.2, 0.0, 0.5, 0.2, 0.1],
+                        [0.0, 0.0, 0.0, 1.0, 0.0],
+                        [0.125, 0.25, 0.125, 0.0, 0.5],
+                    ],
+                },
+            ),
+            ("subset", {"ss": {"k": 5, "epsilon": 0.3}}),
+        ],
+    )
+    def test_cmd_perturb_output_hash(self, tmp_path, pinned_release_csv, kind, payload):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(payload), encoding="utf-8")
+        cfg = base_config(pinned_release_csv, seed=2**40 + 12345)
+        out = tmp_path / "release.csv"
+        assert cmd_perturb(cfg, design, out)["rows"] == 6000
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PINNED_RELEASE_SHA256[kind]
+
+
 class TestCmdEvaluate:
     def test_single_trial_matches_manual_run(self, planted_csv):
         cfg = base_config(
@@ -501,6 +559,23 @@ class TestCmdEvaluate:
         serial = cmd_evaluate(cfg, parallel=False)
         parallel = cmd_evaluate(cfg, parallel=True)
         assert render_json(serial) == render_json(parallel)
+
+    @pytest.mark.parametrize("cores, trials, workers", [(2, 4, 2), (None, 4, 1), (16, 3, 3)])
+    def test_parallel_workers_capped_by_cores(
+        self, monkeypatch, planted_csv, cores, trials, workers
+    ):
+        seen = []
+
+        class SpyExecutor(pipeline.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SpyExecutor)
+        cfg = base_config(planted_csv, split=SplitConfig(trials=trials))
+        cmd_evaluate(cfg, parallel=True)
+        assert seen == [workers]
 
     def test_repeated_runs_byte_identical(self, tmp_path, planted_csv):
         cfg = base_config(planted_csv)
