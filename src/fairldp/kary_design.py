@@ -400,6 +400,126 @@ def _grid_feasible_mask(Q: np.ndarray, dist, ee: float, zeta: float, tol: float)
     return ok
 
 
+def _grid_rows(axes: list[np.ndarray], i: int, k: int, ee: float, tol: float):
+    """Row i of every grid point, in grid order, that passes the row-local checks.
+
+    A grid point's row i depends only on the k-1 axes of that row's
+    off-diagonals, so the rows are enumerated once per pass.  The checks are
+    the parts of `_grid_feasible_mask` that read row i alone: a nonnegative
+    diagonal that dominates its row, and each entry against itself in the
+    privacy ratio.  The diagonal is computed as there, so comparisons match
+    bit for bit.
+    """
+    grids = np.meshgrid(*axes[i * (k - 1) : (i + 1) * (k - 1)], indexing="ij")
+    rows = np.zeros((grids[0].size, k))
+    rows[:, [j for j in range(k) if j != i]] = np.stack(
+        [g.ravel() for g in grids], axis=1
+    )
+    rows[:, i] = 1.0 - rows.sum(axis=1)
+    diag = rows[:, i]
+    ok = diag >= -tol
+    ok &= np.all(diag[:, None] >= rows - tol, axis=1)
+    ok &= np.all(rows <= ee * rows + tol, axis=1)
+    return rows[ok]
+
+
+def _grid_row_pair(ra: np.ndarray, rb: np.ndarray, a: int, b: int, ee, tol):
+    """Which pairs of rows a and b can sit in one feasible matrix.
+
+    These are the column checks of `_grid_feasible_mask` between two rows:
+    each column's diagonal dominates the other row's entry, and every
+    column's entries stay within a factor e^epsilon of each other.  The
+    column ratio check holds for a whole column exactly when it holds for
+    every ordered pair of its entries, since x -> ee * x + tol is monotone in
+    floating point, so checking pairs changes no outcome.
+    """
+    A = ra[:, None, :]
+    B = rb[None, :, :]
+    ok = B[:, :, b] >= A[:, :, b] - tol
+    ok &= A[:, :, a] >= B[:, :, a] - tol
+    ok &= np.all(A <= ee * B + tol, axis=2)
+    ok &= np.all(B <= ee * A + tol, axis=2)
+    return ok
+
+
+def _grid_best(
+    axes: list[np.ndarray], dist, ee: float, zeta: float, tol: float, chunk: int
+):
+    """Best feasible grid point of one pass, the first in grid order on ties.
+
+    Feasibility is `_grid_feasible_mask`, split by the rows each check reads:
+    row-local checks filter each row's candidates, pairwise column checks
+    give one boolean table per pair of rows, and only the grid points that
+    every table allows are built as matrices for the utility check and the
+    objective.  The grid is walked in blocks of the first row's candidates,
+    so the flat order, and with it the tie-break, is that of the full grid.
+    """
+    k = dist.k
+    rows = [_grid_rows(axes, i, k, ee, tol) for i in range(k)]
+    if any(r.shape[0] == 0 for r in rows):
+        return None, math.inf
+    pairs = {
+        (a, b): _grid_row_pair(rows[a], rows[b], a, b, ee, tol)
+        for a in range(k)
+        for b in range(a + 1, k)
+    }
+    tail = int(np.prod([r.shape[0] for r in rows[1:]]))
+    step = max(1, chunk // tail)
+    off = [(i, j) for i in range(k) for j in range(k) if i != j]
+    best_x, best_val = None, math.inf
+    for start in range(0, rows[0].shape[0], step):
+        stop = min(start + step, rows[0].shape[0])
+        valid = np.ones((stop - start,) + tuple(r.shape[0] for r in rows[1:]), bool)
+        for (a, b), table in pairs.items():
+            if a == 0:
+                table = table[start:stop]
+            shape = [1] * k
+            shape[a], shape[b] = table.shape
+            valid &= table.reshape(shape)
+        idx = np.nonzero(valid)
+        if idx[0].size == 0:
+            continue
+        Q = np.stack(
+            [rows[0][idx[0] + start]] + [rows[i][idx[i]] for i in range(1, k)], axis=1
+        )
+        diag = Q[:, np.arange(k), np.arange(k)]
+        Q = Q[(diag @ dist.group_probs) >= 1.0 - zeta - tol]
+        if Q.shape[0] == 0:
+            continue
+        vals = _grid_objective(Q, dist)
+        pick = int(np.argmin(vals))
+        if vals[pick] < best_val:
+            best_val = float(vals[pick])
+            best_x = np.array([Q[pick, i, j] for i, j in off])
+    return best_x, best_val
+
+
+def _grid_least_violation(
+    axes: list[np.ndarray], dist, ee: float, zeta: float, chunk: int
+):
+    """Least-violating grid point of one pass, the first in grid order on ties."""
+    k = dist.k
+    n = len(axes)
+    shape = tuple(ax.size for ax in axes)
+    total = int(np.prod(shape))
+    best_x, best_viol = None, math.inf
+    for start in range(0, total, chunk):
+        digits = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        cand = np.stack([axes[m][digits[m]] for m in range(n)], axis=1)
+        Q = np.zeros((cand.shape[0], k, k))
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    Q[:, i, j] = cand[:, var_index(i, j, k)]
+            Q[:, i, i] = 1.0 - Q[:, i].sum(axis=1)
+        viol = _violation_score(Q, dist, ee, zeta)
+        pick = int(np.argmin(viol))
+        if viol[pick] < best_viol:
+            best_viol = float(viol[pick])
+            best_x = cand[pick]
+    return best_x, best_viol
+
+
 def _grid_objective(Q: np.ndarray, dist) -> np.ndarray:
     weights = dist.group_probs * dist.pos_rates
     group_mass = np.einsum("i,nij->nj", dist.group_probs, Q)
@@ -494,32 +614,14 @@ def brute_force_opt_k(
                     extra = np.array([diag[j] / ee, diag[j], center[m], 1.0 / k])
                     ax = np.concatenate([axes[m], extra])
                     axes[m] = np.unique(ax[(ax >= lo[m]) & (ax <= hi[m])])
-            shape = tuple(ax.size for ax in axes)
-            total = int(np.prod(shape))
-            pass_best_x, pass_best_val = None, math.inf
-            for start in range(0, total, chunk):
-                flat = np.arange(start, min(start + chunk, total))
-                digits = np.unravel_index(flat, shape)
-                cand = np.stack([axes[m][digits[m]] for m in range(n)], axis=1)
-                Q = np.zeros((cand.shape[0], k, k))
-                for i in range(k):
-                    for j in range(k):
-                        if i != j:
-                            Q[:, i, j] = cand[:, var_index(i, j, k)]
-                    Q[:, i, i] = 1.0 - Q[:, i].sum(axis=1)
-                ok = _grid_feasible_mask(Q, dist, ee, cfg.zeta, tol)
-                if ok.any():
-                    vals = _grid_objective(Q[ok], dist)
-                    pick = int(np.argmin(vals))
-                    if vals[pick] < pass_best_val:
-                        pass_best_val = float(vals[pick])
-                        pass_best_x = cand[ok][pick]
-                elif best_x is None and pass_best_x is None:
-                    viol = _violation_score(Q, dist, ee, cfg.zeta)
-                    pick = int(np.argmin(viol))
-                    if viol[pick] < fallback_viol:
-                        fallback_viol = float(viol[pick])
-                        fallback_x = cand[pick]
+            pass_best_x, pass_best_val = _grid_best(
+                axes, dist, ee, cfg.zeta, tol, chunk
+            )
+            if pass_best_x is None and best_x is None:
+                x, viol = _grid_least_violation(axes, dist, ee, cfg.zeta, chunk)
+                if viol < fallback_viol:
+                    fallback_viol = viol
+                    fallback_x = x
             if pass_best_val < best_val:
                 best_val = pass_best_val
                 best_x = pass_best_x

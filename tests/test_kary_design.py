@@ -14,6 +14,7 @@ from fairldp.errors import (
     InvalidEpsilon,
     TooLarge,
 )
+from fairldp import kary_design
 from fairldp.kary_design import (
     FeasiblePoint,
     Infeasible,
@@ -482,6 +483,44 @@ class TestBruteForce:
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudget):
             brute_force_opt_k(fixture_dist(), SolverConfig(1.0, 0.3), 9)
+
+    def test_split_checks_match_full_matrix_checks(self):
+        # the pass evaluates feasibility row by row and pair by pair; it must
+        # pick exactly the point a scan of full matrices in grid order picks
+        rng = np.random.default_rng(8)
+        found = missed = 0
+        for trial in range(24):
+            k = 2 + trial % 2
+            dist = random_dist(rng, k)
+            ee = math.exp(float(rng.uniform(0.3, 2.5)))
+            zeta = float(rng.uniform(0.3, 0.9))
+            axes = [
+                np.unique(
+                    np.concatenate(
+                        [rng.uniform(0.0, 0.5, 3), [0.0, 1.0 / ee / k, 0.3, 0.4]]
+                    )
+                )
+                for _ in range(k * (k - 1))
+            ]
+            grid = np.array(list(itertools.product(*axes)))
+            Q = np.zeros((len(grid), k, k))
+            for i, j in itertools.permutations(range(k), 2):
+                Q[:, i, j] = grid[:, var_index(i, j, k)]
+            for i in range(k):
+                Q[:, i, i] = 1.0 - Q[:, i].sum(axis=1)
+            ok = kary_design._grid_feasible_mask(Q, dist, ee, zeta, 1e-9)
+            for chunk in (7, 100_000):
+                x, val = kary_design._grid_best(axes, dist, ee, zeta, 1e-9, chunk)
+                if not ok.any():
+                    assert x is None and val == math.inf
+                    continue
+                vals = kary_design._grid_objective(Q[ok], dist)
+                pick = int(np.argmin(vals))
+                assert val == float(vals[pick])
+                np.testing.assert_array_equal(x, grid[ok][pick])
+            found += bool(ok.any())
+            missed += not ok.any()
+        assert found >= 5 and missed >= 1
 
 
 class TestMinAchievableError:
