@@ -156,6 +156,13 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     header, data = rows[0], rows[1:]
     if not data:
         raise EmptyFile(f"{path} has no data rows")
+    width = len(header)
+    if min(map(len, data)) < width:
+        short = next(r for r, row in enumerate(data) if len(row) < width)
+        cells = len(data[short])
+        raise UnparseableCell(
+            short, header[cells], f"row has {cells} cells, header has {width}"
+        )
     return header, data
 
 

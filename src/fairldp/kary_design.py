@@ -11,7 +11,7 @@ the raw matrix entries (`brute_force_opt_k`) serves as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -22,6 +22,7 @@ from .errors import (
     InfeasibleBudget,
     InvalidEpsilon,
     NumericalFailure,
+    SolverError,
     TooLarge,
 )
 from .mechanisms import MechanismMatrix, induced_distribution
@@ -54,47 +55,42 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class Row:
-    """One linear constraint: coeffs @ x <relation> bound."""
-
-    coeffs: np.ndarray
-    relation: str
-    bound: float
-    label: str
-
-    def __post_init__(self):
-        if self.relation not in ("<=", ">="):
-            raise ValueError(f"unknown relation {self.relation!r}")
-
-    def slack(self, x: np.ndarray) -> float:
-        value = float(self.coeffs @ x)
-        if self.relation == "<=":
-            return self.bound - value
-        return value - self.bound
-
-
-@dataclass(frozen=True)
 class LinearConstraintSystem:
-    """Constraints over the k(k-1) off-diagonal mechanism entries."""
+    """Constraints A x <= b over the k(k-1) off-diagonal mechanism entries.
 
-    num_vars: int
-    rows: list[Row]
+    Row r of A and entry r of b form the constraint named labels[r]; a lower
+    bound is stored as its negated upper bound.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+    labels: tuple[str, ...]
 
     def __post_init__(self):
-        for row in self.rows:
-            if row.coeffs.shape != (self.num_vars,):
-                raise ValueError(f"row {row.label} has wrong arity")
-            if not math.isfinite(row.bound):
-                raise ValueError(f"row {row.label} has non-finite bound")
+        m = len(self.labels)
+        if self.A.ndim != 2 or self.A.shape[0] != m or self.b.shape != (m,):
+            raise ValueError(
+                f"A {self.A.shape} and b {self.b.shape} do not match {m} labels"
+            )
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("constraint bounds must be finite")
 
-    def extended(self, extra: list[Row]) -> "LinearConstraintSystem":
-        return LinearConstraintSystem(self.num_vars, self.rows + extra)
+    @property
+    def num_vars(self) -> int:
+        return self.A.shape[1]
+
+    def extended(self, extra: "LinearConstraintSystem") -> "LinearConstraintSystem":
+        return LinearConstraintSystem(
+            np.vstack([self.A, extra.A]),
+            np.concatenate([self.b, extra.b]),
+            self.labels + extra.labels,
+        )
 
     def slacks(self, x: np.ndarray) -> dict[str, float]:
-        return {row.label: row.slack(x) for row in self.rows}
+        return dict(zip(self.labels, (self.b - self.A @ x).tolist()))
 
     def satisfied(self, x: np.ndarray, tol: float) -> bool:
-        return all(s >= -tol for s in self.slacks(x).values())
+        return bool(np.all(self.b - self.A @ x >= -tol))
 
 
 @dataclass(frozen=True)
@@ -147,14 +143,16 @@ def var_index(i: int, j: int, k: int) -> int:
     return i * (k - 1) + (j if j < i else j - 1)
 
 
+def _off_diagonal(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each variable, in `var_index` order."""
+    return np.nonzero(~np.eye(k, dtype=bool))
+
+
 def matrix_from_vars(x: np.ndarray, k: int) -> np.ndarray:
     """Rebuild the full mechanism matrix, diagonals from the row-mass identity."""
     Q = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                Q[i, j] = x[var_index(i, j, k)]
-        Q[i, i] = 1.0 - Q[i].sum()
+    Q[_off_diagonal(k)] = x
+    np.fill_diagonal(Q, 1.0 - Q.sum(axis=1))
     return Q
 
 
@@ -170,116 +168,69 @@ def assemble_constraints(
     """
     k = dist.k
     n = k * (k - 1)
-    ee = math.exp(cfg.epsilon)
-    p = dist.group_probs
-    rows: list[Row] = []
-
-    # q_ij <= q_ii and q_ij <= q_jj, with diagonals substituted out
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            own = np.zeros(n)
-            for a in range(k):
-                if a != i:
-                    own[var_index(i, a, k)] += 1.0
-            own[var_index(i, j, k)] += 1.0
-            rows.append(Row(own, "<=", 1.0, f"truth_own({i},{j})"))
-            tgt = np.zeros(n)
-            tgt[var_index(i, j, k)] += 1.0
-            for a in range(k):
-                if a != j:
-                    tgt[var_index(j, a, k)] += 1.0
-            rows.append(Row(tgt, "<=", 1.0, f"truth_tgt({i},{j})"))
-
+    I, J = _off_diagonal(k)
+    pairs = [f"({i},{j})" for i, j in zip(I, J)]
+    # S[i] sums row i's off-diagonals, so the diagonal q_ii is 1 - S[i] x
+    S = (I == np.arange(k)[:, None]).astype(float)
+    E = np.eye(n)
+    # q_ij <= q_ii and q_ij <= q_jj, interleaved per pair
+    truth = np.stack([S[I] + E, E + S[J]], axis=1).reshape(2 * n, n)
     # q_jj <= e^eps q_ij, i.e. the strongest pairwise privacy ratio per column
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            c = np.zeros(n)
-            for a in range(k):
-                if a != j:
-                    c[var_index(j, a, k)] -= 1.0
-            c[var_index(i, j, k)] -= ee
-            rows.append(Row(c, "<=", -1.0, f"ldp({i},{j})"))
-
-    for i in range(k):
-        c = np.zeros(n)
-        for a in range(k):
-            if a != i:
-                c[var_index(i, a, k)] = 1.0
-        rows.append(Row(c, "<=", 1.0, f"mass({i})"))
-
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            c = np.zeros(n)
-            c[var_index(i, j, k)] = 1.0
-            rows.append(Row(c, ">=", 0.0, f"nonneg({i},{j})"))
-
+    ldp = -S[J] - math.exp(cfg.epsilon) * E
     # sum_i p_i (1 - q_ii) <= zeta
-    c = np.zeros(n)
-    for i in range(k):
-        for a in range(k):
-            if a != i:
-                c[var_index(i, a, k)] = p[i]
-    rows.append(Row(c, "<=", float(cfg.zeta), "utility"))
+    utility = dist.group_probs[I]
+    A = np.vstack([truth, ldp, S, -E, utility])
+    b = np.concatenate(
+        [np.ones(2 * n), np.full(n, -1.0), np.ones(k), np.zeros(n), [cfg.zeta]]
+    )
+    labels = (
+        tuple(f"{kind}{pair}" for pair in pairs for kind in ("truth_own", "truth_tgt"))
+        + tuple(f"ldp{pair}" for pair in pairs)
+        + tuple(f"mass({i})" for i in range(k))
+        + tuple(f"nonneg{pair}" for pair in pairs)
+        + ("utility",)
+    )
+    return LinearConstraintSystem(A, b, labels)
 
-    return LinearConstraintSystem(n, rows)
 
-
-def fairness_rows_at(dist: JointDistribution, t: float) -> list[Row]:
+def fairness_rows_at(dist: JointDistribution, t: float) -> LinearConstraintSystem:
     """Linearized per-output disparity bounds |N_a / D_a - 1| <= t.
 
     N_a is the released positive mass at output a, D_a the released group mass
     scaled by the base positive rate; both are linear in the off-diagonal
     entries once diagonals are substituted out, and D_a > 0 on the feasible
-    region, so each absolute-value bound becomes two linear rows.
+    region, so each absolute-value bound becomes two linear rows.  Entry
+    (i, j) enters the rows of output j (it moves group i's mass there) and of
+    output i (it moves that mass away).
     """
     if t < 0.0:
         raise ValueError("disparity target must be non-negative")
     k = dist.k
-    n = k * (k - 1)
     p = dist.group_probs
     r = dist.pos_rates
     py = dist.pos_marginal
-    rows: list[Row] = []
-    for a in range(k):
-        hi = np.zeros(n)
-        lo = np.zeros(n)
-        for j in range(k):
-            if j == a:
-                continue
-            hi[var_index(j, a, k)] = r[j] * p[j] - (1.0 + t) * py * p[j]
-            lo[var_index(j, a, k)] = (1.0 - t) * py * p[j] - r[j] * p[j]
-        for c in range(k):
-            if c == a:
-                continue
-            hi[var_index(a, c, k)] = (1.0 + t) * py * p[a] - r[a] * p[a]
-            lo[var_index(a, c, k)] = r[a] * p[a] - (1.0 - t) * py * p[a]
-        hi_bound = (1.0 + t) * py * p[a] - r[a] * p[a]
-        lo_bound = r[a] * p[a] - (1.0 - t) * py * p[a]
-        rows.append(Row(hi, "<=", float(hi_bound), f"fair_hi({a})"))
-        rows.append(Row(lo, "<=", float(lo_bound), f"fair_lo({a})"))
-    return rows
+    I, J = _off_diagonal(k)
+    cols = np.arange(k * (k - 1))
+    hi_bound = (1.0 + t) * py * p - r * p
+    lo_bound = r * p - (1.0 - t) * py * p
+    hi = np.zeros((k, cols.size))
+    lo = np.zeros((k, cols.size))
+    hi[J, cols] = r[I] * p[I] - (1.0 + t) * py * p[I]
+    lo[J, cols] = (1.0 - t) * py * p[I] - r[I] * p[I]
+    hi[I, cols] = hi_bound[I]
+    lo[I, cols] = lo_bound[I]
+    return LinearConstraintSystem(
+        np.stack([hi, lo], axis=1).reshape(2 * k, cols.size),
+        np.stack([hi_bound, lo_bound], axis=1).ravel(),
+        tuple(f"{kind}({a})" for a in range(k) for kind in ("fair_hi", "fair_lo")),
+    )
 
 
 def _run_lp(system: LinearConstraintSystem, objective: np.ndarray):
-    a_ub = np.empty((len(system.rows), system.num_vars))
-    b_ub = np.empty(len(system.rows))
-    for idx, row in enumerate(system.rows):
-        if row.relation == "<=":
-            a_ub[idx] = row.coeffs
-            b_ub[idx] = row.bound
-        else:
-            a_ub[idx] = -row.coeffs
-            b_ub[idx] = -row.bound
     return linprog(
         objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
+        A_ub=system.A,
+        b_ub=system.b,
         bounds=(None, None),
         method="highs",
         options=LP_OPTIONS,
@@ -301,13 +252,7 @@ def lp_feasible(
 
 
 def _utility_objective(dist: JointDistribution) -> np.ndarray:
-    k = dist.k
-    c = np.zeros(k * (k - 1))
-    for i in range(k):
-        for a in range(k):
-            if a != i:
-                c[var_index(i, a, k)] = dist.group_probs[i]
-    return c
+    return dist.group_probs[_off_diagonal(dist.k)[0]]
 
 
 def solve_opt_k(dist: JointDistribution, cfg: SolverConfig) -> KaryDesignResult:
@@ -320,6 +265,15 @@ def solve_opt_k(dist: JointDistribution, cfg: SolverConfig) -> KaryDesignResult:
     records the bisection intervals and the labeled slacks of the returned
     point.
     """
+    try:
+        return _bisect_design(dist, cfg)
+    except SolverError as err:
+        # the solver's frames hold every constraint matrix of the design; a
+        # caller that keeps the error would keep them all alive
+        raise err.with_traceback(None)
+
+
+def _bisect_design(dist: JointDistribution, cfg: SolverConfig) -> KaryDesignResult:
     static = assemble_constraints(dist, cfg)
     if isinstance(lp_feasible(static, cfg.feasibility_tol), Infeasible):
         raise InfeasibleBudget(cfg.epsilon, cfg.zeta)
@@ -377,9 +331,8 @@ def min_achievable_error(dist: JointDistribution, epsilon: float) -> float:
     """
     cfg = SolverConfig(epsilon=epsilon, zeta=1.0)
     static = assemble_constraints(dist, cfg)
-    trimmed = LinearConstraintSystem(
-        static.num_vars, [row for row in static.rows if row.label != "utility"]
-    )
+    # the utility row is the last one
+    trimmed = LinearConstraintSystem(static.A[:-1], static.b[:-1], static.labels[:-1])
     res = _run_lp(trimmed, _utility_objective(dist))
     if res.status != 0:
         raise NumericalFailure(f"error minimization ended with status {res.status}")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .binary_design import opt_binary
-from .dataset import COMMENT_PREFIX, ColumnsConfig, ingest_csv
+from .dataset import COMMENT_PREFIX, ColumnsConfig, _read_rows, ingest_csv
 from .distribution import (
     JointDistribution,
     delta,
@@ -147,6 +147,47 @@ class RunConfig:
 
 
 _TOP_KEYS = {"data", "columns", "mechanism", "epsilon", "zeta", "seed", "split", "eval"}
+_COLUMNS_KEYS = {"sensitive", "label", "positive_label", "features", "sensitive_order"}
+_SPLIT_KEYS = {"train_fraction", "trials"}
+_EVAL_KEYS = {"calibration", "sensitive_as_feature", "skip_undefined_groups"}
+
+
+def _section(raw: dict, name: str, known: set[str]) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(section) - known
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return section
+
+
+def _number(name: str, value) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -156,15 +197,20 @@ def config_from_dict(raw: dict) -> RunConfig:
     for key in ("data", "columns", "mechanism"):
         if key not in raw:
             raise ConfigError(f"config is missing {key!r}")
-    cols = raw["columns"]
-    if not isinstance(cols, dict):
-        raise ConfigError("columns must be an object")
+    cols = _section(raw, "columns", _COLUMNS_KEYS)
+    features = cols.get("features", "auto")
+    if features != "auto" and not (
+        isinstance(features, list) and all(isinstance(f, str) for f in features)
+    ):
+        raise ConfigError(
+            f'features must be "auto" or a list of column names, got {features!r}'
+        )
     try:
         columns = ColumnsConfig(
             sensitive=cols["sensitive"],
             label=cols["label"],
             positive_label=str(cols["positive_label"]),
-            features=cols.get("features", "auto"),
+            features=features,
             sensitive_order=cols.get("sensitive_order"),
         )
     except KeyError as missing:
@@ -176,25 +222,31 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(
             f"unknown mechanism {raw['mechanism']!r}; expected one of {names}"
         ) from None
-    split_raw = raw.get("split", {})
-    eval_raw = raw.get("eval", {})
+    split_raw = _section(raw, "split", _SPLIT_KEYS)
+    eval_raw = _section(raw, "eval", _EVAL_KEYS)
     epsilon = raw.get("epsilon")
     zeta = raw.get("zeta")
     return RunConfig(
         data=str(raw["data"]),
         columns=columns,
         mechanism=mechanism,
-        seed=int(raw.get("seed", 0)),
-        epsilon=None if epsilon is None else float(epsilon),
-        zeta=None if zeta is None else float(zeta),
+        seed=_integer("seed", raw.get("seed", 0)),
+        epsilon=None if epsilon is None else _number("epsilon", epsilon),
+        zeta=None if zeta is None else _number("zeta", zeta),
         split=SplitConfig(
-            train_fraction=float(split_raw.get("train_fraction", 0.75)),
-            trials=int(split_raw.get("trials", 20)),
+            train_fraction=_number(
+                "train_fraction", split_raw.get("train_fraction", 0.75)
+            ),
+            trials=_integer("trials", split_raw.get("trials", 20)),
         ),
         eval=EvalSettings(
             calibration=eval_raw.get("calibration", "base_rate_match"),
-            sensitive_as_feature=bool(eval_raw.get("sensitive_as_feature", True)),
-            skip_undefined_groups=bool(eval_raw.get("skip_undefined_groups", False)),
+            sensitive_as_feature=_flag(
+                "sensitive_as_feature", eval_raw.get("sensitive_as_feature", True)
+            ),
+            skip_undefined_groups=_flag(
+                "skip_undefined_groups", eval_raw.get("skip_undefined_groups", False)
+            ),
         ),
     )
 
@@ -378,18 +430,6 @@ def _payload_hash(payload: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _read_raw_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [
-            row
-            for row in csv.reader(fh)
-            if row and not row[0].startswith(COMMENT_PREFIX)
-        ]
-    if not rows:
-        raise DataError(f"{path} has no rows")
-    return rows[0], rows[1:]
-
-
 def cmd_perturb(
     config: RunConfig, mechanism_path: str | Path, out_path: str | Path
 ) -> dict:
@@ -412,7 +452,7 @@ def cmd_perturb(
     dataset = ingest_csv(config.data, config.columns)
     result = perturb_dataset(dataset, mech, config.seed)
 
-    header, rows = _read_raw_rows(config.data)
+    header, rows = _read_rows(config.data)
     sens_idx = header.index(config.columns.sensitive)
     stamp = f"{COMMENT_PREFIX} seed={config.seed} mechanism={_payload_hash(payload)}"
 
@@ -636,6 +676,32 @@ def cmd_verify(
     except json.JSONDecodeError as err:
         raise DataError(f"design report is not valid JSON: {err}") from None
 
+    try:
+        checks = _verify_design(payload)
+    except KeyError as missing:
+        raise DataError(f"design report is missing {missing}") from None
+
+    if report_path is not None:
+        try:
+            with open(report_path, encoding="utf-8") as fh:
+                report = json.load(fh)
+        except FileNotFoundError:
+            raise DataError(f"evaluate report not found: {report_path}") from None
+        except json.JSONDecodeError as err:
+            raise DataError(f"evaluate report is not valid JSON: {err}") from None
+        try:
+            checks["summary"] = _verify_summary(report)
+        except KeyError as missing:
+            raise DataError(f"evaluate report is missing {missing}") from None
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "ok": all(checks.values()),
+        "checks": checks,
+    }
+
+
+def _verify_design(payload: dict) -> dict[str, bool]:
     checks: dict[str, bool] = {}
     epsilon = payload.get("epsilon")
     dist = JointDistribution.from_rates(
@@ -683,28 +749,17 @@ def cmd_verify(
             abs(recomputed - payload["min_achievable_error"]) <= 1e-9
         )
 
-    if report_path is not None:
-        try:
-            with open(report_path, encoding="utf-8") as fh:
-                report = json.load(fh)
-        except FileNotFoundError:
-            raise DataError(f"evaluate report not found: {report_path}") from None
-        except json.JSONDecodeError as err:
-            raise DataError(f"evaluate report is not valid JSON: {err}") from None
-        resummed = _summarize(report["trials"])
-        ok = True
-        for metric in METRICS:
-            for key in ("mean", "ci_low", "ci_high"):
-                a = resummed[metric][key]
-                b = report["summary"][metric][key]
-                if (a is None) != (b is None):
-                    ok = False
-                elif a is not None and abs(a - b) > 1e-12:
-                    ok = False
-        checks["summary"] = ok
+    return checks
 
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "ok": all(checks.values()),
-        "checks": checks,
-    }
+
+def _verify_summary(report: dict) -> bool:
+    resummed = _summarize(report["trials"])
+    for metric in METRICS:
+        for key in ("mean", "ci_low", "ci_high"):
+            a = resummed[metric][key]
+            b = report["summary"][metric][key]
+            if (a is None) != (b is None):
+                return False
+            if a is not None and abs(a - b) > 1e-12:
+                return False
+    return True

@@ -12,6 +12,7 @@ from fairldp.errors import (
     ConfigError,
     InfeasibleBudget,
     InvalidEpsilon,
+    NumericalFailure,
     TooLarge,
 )
 from fairldp import kary_design
@@ -19,7 +20,6 @@ from fairldp.kary_design import (
     FeasiblePoint,
     Infeasible,
     LinearConstraintSystem,
-    Row,
     SolverConfig,
     assemble_constraints,
     brute_force_opt_k,
@@ -121,6 +121,25 @@ def static_rows_direct(dist, epsilon):
     return np.array(A), np.array(b), error_coeffs
 
 
+def fairness_rows_direct(dist, t):
+    """Per-output loop over the fairness rows, with the solver's arithmetic."""
+    k = dist.k
+    p, r, py = dist.group_probs, dist.pos_rates, dist.pos_marginal
+    A, b = [], []
+    for a in range(k):
+        hi = np.zeros(k * (k - 1))
+        lo = np.zeros(k * (k - 1))
+        for j in range(k):
+            if j != a:
+                hi[var_index(j, a, k)] = r[j] * p[j] - (1.0 + t) * py * p[j]
+                lo[var_index(j, a, k)] = (1.0 - t) * py * p[j] - r[j] * p[j]
+                hi[var_index(a, j, k)] = (1.0 + t) * py * p[a] - r[a] * p[a]
+                lo[var_index(a, j, k)] = r[a] * p[a] - (1.0 - t) * py * p[a]
+        A += [hi, lo]
+        b += [(1.0 + t) * py * p[a] - r[a] * p[a], r[a] * p[a] - (1.0 - t) * py * p[a]]
+    return np.array(A), np.array(b)
+
+
 def vertex_min_error(dist, epsilon):
     """Exact minimum reporting error by enumerating polytope vertices."""
     A, b, c = static_rows_direct(dist, epsilon)
@@ -205,13 +224,13 @@ class TestAssembleConstraints:
         d = JointDistribution.from_rates([0.4, 0.6], [0.25, 0.7])
         sys2 = assemble_constraints(d, SolverConfig(1.0, 0.5))
         assert sys2.num_vars == 2
-        assert len(sys2.rows) == 11
+        assert len(sys2.labels) == 11
 
     def test_counts_k3(self):
         sys3 = assemble_constraints(fixture_dist(), SolverConfig(1.0, 0.3))
         assert sys3.num_vars == 6
-        assert len(sys3.rows) == 28
-        kinds = Counter(r.label.split("(")[0] for r in sys3.rows)
+        assert len(sys3.labels) == 28
+        kinds = Counter(label.split("(")[0] for label in sys3.labels)
         assert kinds == {
             "truth_own": 6,
             "truth_tgt": 6,
@@ -223,7 +242,7 @@ class TestAssembleConstraints:
 
     def test_canonical_order_k2(self):
         d = JointDistribution.from_rates([0.4, 0.6], [0.25, 0.7])
-        labels = [r.label for r in assemble_constraints(d, SolverConfig(1.0, 0.5)).rows]
+        labels = list(assemble_constraints(d, SolverConfig(1.0, 0.5)).labels)
         assert labels == [
             "truth_own(0,1)",
             "truth_tgt(0,1)",
@@ -241,11 +260,37 @@ class TestAssembleConstraints:
     def test_identity_violates_only_ldp(self):
         sys3 = assemble_constraints(fixture_dist(), SolverConfig(1.0, 0.3))
         x = np.zeros(sys3.num_vars)
-        for row in sys3.rows:
-            if row.label.startswith("ldp"):
-                assert row.slack(x) < 0.0
+        slacks = sys3.slacks(x)
+        for label in sys3.labels:
+            if label.startswith("ldp"):
+                assert slacks[label] < 0.0
             else:
-                assert row.slack(x) >= -1e-12
+                assert slacks[label] >= -1e-12
+
+    def test_matches_direct_derivation(self):
+        rng = np.random.default_rng(71)
+        for k in (2, 3, 4, 5):
+            for epsilon in (0.25, 1.0, 3.0):
+                d = random_dist(rng, k)
+                system = assemble_constraints(d, SolverConfig(epsilon, 0.4))
+                A, b, c = static_rows_direct(d, epsilon)
+                pairs = [f"({i},{j})" for i in range(k) for j in range(k) if i != j]
+                direct_labels = (
+                    [f"nonneg{pair}" for pair in pairs]
+                    + [f"mass({i})" for i in range(k)]
+                    + [
+                        f"{kind}{pair}"
+                        for pair in pairs
+                        for kind in ("truth_own", "truth_tgt", "ldp")
+                    ]
+                )
+                order = [system.labels.index(label) for label in direct_labels]
+                assert sorted(order) == list(range(len(system.labels) - 1))
+                assert np.array_equal(system.A[order], A)
+                assert np.array_equal(system.b[order], b)
+                assert system.labels[-1] == "utility"
+                assert np.array_equal(system.A[-1], c)
+                assert system.b[-1] == 0.4
 
     def test_grr_point_is_feasible(self):
         d = fixture_dist()
@@ -257,8 +302,8 @@ class TestAssembleConstraints:
 class TestFairnessRows:
     def test_shape_and_labels(self):
         rows = fairness_rows_at(fixture_dist(), 0.2)
-        assert len(rows) == 6
-        assert [r.label for r in rows] == [
+        assert len(rows.labels) == 6
+        assert list(rows.labels) == [
             "fair_hi(0)",
             "fair_lo(0)",
             "fair_hi(1)",
@@ -266,6 +311,16 @@ class TestFairnessRows:
             "fair_hi(2)",
             "fair_lo(2)",
         ]
+
+    def test_matches_per_output_loop(self):
+        rng = np.random.default_rng(72)
+        for k in (2, 3, 4, 6):
+            d = random_dist(rng, k)
+            for t in (0.0, 0.013, 0.5, 1.7):
+                rows = fairness_rows_at(d, t)
+                A, b = fairness_rows_direct(d, t)
+                assert rows.A.tobytes() == A.tobytes()
+                assert rows.b.tobytes() == b.tobytes()
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
@@ -277,7 +332,7 @@ class TestFairnessRows:
         identity = np.zeros(6)
         uniform = np.full(6, 1.0 / 3.0)
         for x in (identity, uniform):
-            assert all(r.slack(x) >= -1e-12 for r in rows)
+            assert all(s >= -1e-12 for s in rows.slacks(x).values())
 
     def test_max_target_implied_by_static(self):
         d = fixture_dist()
@@ -288,7 +343,7 @@ class TestFairnessRows:
         assert isinstance(point, FeasiblePoint)
         candidates = [point.x] + [grr_vars(3, e) for e in (0.3, 1.0, 3.0)]
         for x in candidates:
-            assert all(r.slack(x) >= -1e-9 for r in rows)
+            assert all(s >= -1e-9 for s in rows.slacks(x).values())
 
     def test_binary_cross_path(self):
         d = JointDistribution.from_rates([0.4, 0.6], [0.25, 0.7])
@@ -302,27 +357,28 @@ class TestFairnessRows:
             if abs(achieved - t) < 1e-9:
                 continue
             x = np.array([1.0 - p, 1.0 - q])
-            satisfied = all(r.slack(x) >= -1e-12 for r in fairness_rows_at(d, t))
+            satisfied = all(
+                s >= -1e-12 for s in fairness_rows_at(d, t).slacks(x).values()
+            )
             assert satisfied == (achieved <= t)
 
 
 class TestLpFeasible:
     def test_single_variable_band(self):
-        rows = [
-            Row(np.array([1.0]), ">=", 0.5, "floor"),
-            Row(np.array([1.0]), "<=", 1.0, "cap"),
-            Row(np.array([1.0]), ">=", 0.0, "sign"),
-        ]
-        result = lp_feasible(LinearConstraintSystem(1, rows))
+        system = LinearConstraintSystem(
+            np.array([[-1.0], [1.0], [-1.0]]),
+            np.array([-0.5, 1.0, 0.0]),
+            ("floor", "cap", "sign"),
+        )
+        result = lp_feasible(system)
         assert isinstance(result, FeasiblePoint)
         assert 0.5 - 1e-9 <= result.x[0] <= 1.0 + 1e-9
 
     def test_contradiction(self):
-        rows = [
-            Row(np.array([1.0]), ">=", 0.7, "floor"),
-            Row(np.array([1.0]), "<=", 0.3, "cap"),
-        ]
-        assert isinstance(lp_feasible(LinearConstraintSystem(1, rows)), Infeasible)
+        system = LinearConstraintSystem(
+            np.array([[-1.0], [1.0]]), np.array([-0.7, 0.3]), ("floor", "cap")
+        )
+        assert isinstance(lp_feasible(system), Infeasible)
 
     def test_sound_against_rejection_sampling(self):
         rng = np.random.default_rng(1234)
@@ -330,14 +386,13 @@ class TestLpFeasible:
             A = rng.normal(size=(20, 6))
             center = np.full(6, 0.5)
             b = A @ center + margin
-            rows = [
-                Row(A[i], "<=", float(b[i]), f"r{i}") for i in range(20)
-            ] + [
-                Row(np.eye(6)[i], ">=", 0.0, f"lo{i}") for i in range(6)
-            ] + [
-                Row(np.eye(6)[i], "<=", 1.0, f"hi{i}") for i in range(6)
-            ]
-            system = LinearConstraintSystem(6, rows)
+            system = LinearConstraintSystem(
+                np.vstack([A, -np.eye(6), np.eye(6)]),
+                np.concatenate([b, np.zeros(6), np.ones(6)]),
+                tuple(f"r{i}" for i in range(20))
+                + tuple(f"lo{i}" for i in range(6))
+                + tuple(f"hi{i}" for i in range(6)),
+            )
             found = False
             for _ in range(10):
                 pts = rng.uniform(0.0, 1.0, size=(1_000_000, 6))
@@ -447,6 +502,24 @@ class TestSolveOptK:
         assert set(payload["certificate"]) == {"iterations", "slacks"}
         assert len(payload["entries"]) == 3
         assert "utility" in payload["certificate"]["slacks"]
+
+    def test_failure_does_not_keep_constraint_matrices(self, monkeypatch):
+        solve = kary_design.linprog
+
+        def status_4_after_static(c, **kw):
+            res = solve(c, **kw)
+            if len(kw["b_ub"]) > 28:
+                res.status = 4
+            return res
+
+        monkeypatch.setattr(kary_design, "linprog", status_4_after_static)
+        with pytest.raises(NumericalFailure, match="status 4") as err:
+            solve_opt_k(fixture_dist(), SolverConfig(1.0, 0.55))
+        tb = err.value.__traceback__
+        while tb is not None:
+            for value in tb.tb_frame.f_locals.values():
+                assert not isinstance(value, LinearConstraintSystem)
+            tb = tb.tb_next
 
 
 class TestBruteForce:

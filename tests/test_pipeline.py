@@ -201,6 +201,37 @@ class TestConfigFromDict:
             config_from_dict(config_dict(planted_csv, mechanism="Laplace"))
 
 
+    def test_wrongly_typed_values(self, planted_csv):
+        for key, value in (("epsilon", "one"), ("seed", "x"), ("zeta", [0.5])):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict(config_dict(planted_csv, **{key: value}))
+        raw = config_dict(planted_csv)
+        raw["columns"]["features"] = "x"
+        with pytest.raises(ConfigError, match="features"):
+            config_from_dict(raw)
+
+    def test_unknown_section_keys(self, planted_csv):
+        for section in ("columns", "split", "eval"):
+            raw = config_dict(planted_csv)
+            raw.setdefault(section, {})["trails"] = 3
+            with pytest.raises(ConfigError, match=f"unknown {section} keys"):
+                config_from_dict(raw)
+
+    def test_non_boolean_flags(self, planted_csv):
+        for key in ("sensitive_as_feature", "skip_undefined_groups"):
+            raw = config_dict(planted_csv, eval={key: "false"})
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict(raw)
+
+    def test_non_integral_trials(self, planted_csv):
+        raw = config_dict(planted_csv)
+        raw["split"]["trials"] = 2.7
+        with pytest.raises(ConfigError, match="trials"):
+            config_from_dict(raw)
+        raw["split"]["trials"] = 2.0
+        assert config_from_dict(raw).split.trials == 2
+
+
 class TestLoadConfig:
     def write(self, tmp_path, raw):
         path = tmp_path / "config.json"
@@ -733,6 +764,14 @@ class TestCmdVerify:
         with pytest.raises(DataError, match="JSON"):
             cmd_verify(bad)
 
+    def test_missing_dist_is_data_error(self, tmp_path, planted_csv):
+        path = self.fresh_design(tmp_path, planted_csv)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["dist"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="'dist'"):
+            cmd_verify(path)
+
 
 class TestCli:
     def write_config(self, tmp_path, raw):
@@ -778,6 +817,28 @@ class TestCli:
         cfg = self.write_config(tmp_path, raw)
         assert main(["design", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_mistyped_config_value_exit(self, tmp_path, planted_csv, capsys):
+        cfg = self.write_config(tmp_path, config_dict(planted_csv, epsilon="one"))
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert "epsilon must be a number" in capsys.readouterr().err
+
+    def test_short_csv_row_exit(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("x,group,label\n1.0,a,1\n2.0,b\n", encoding="utf-8")
+        cfg = self.write_config(tmp_path, config_dict(data))
+        assert main(["design", "--config", str(cfg)]) == 4
+        assert "cannot parse row 1, column 'label'" in capsys.readouterr().err
+
+    def test_verify_incomplete_report_exit(self, tmp_path, planted_csv, capsys):
+        cfg = self.write_config(tmp_path, config_dict(planted_csv))
+        design = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg), "--out", str(design)]) == 0
+        payload = json.loads(design.read_text(encoding="utf-8"))
+        del payload["dist"]
+        design.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", str(design)]) == 4
+        assert "missing 'dist'" in capsys.readouterr().err
 
     def test_rr_on_three_groups_is_data_error(self, tmp_path, tri_csv):
         cfg = self.write_config(tmp_path, config_dict(tri_csv, mechanism="RR"))
