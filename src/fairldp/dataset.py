@@ -105,6 +105,10 @@ class TabularDataset:
     def n(self) -> int:
         return int(self.sensitive.shape[0])
 
+    def indicator_matrix(self) -> np.ndarray:
+        """n x k one-hot encoding of the sensitive codes."""
+        return np.equal.outer(self.sensitive, np.arange(self.k)).astype(float)
+
     def subset(self, idx: np.ndarray) -> "TabularDataset":
         """Row-sliced copy (used for train/test splits)."""
         return TabularDataset(
@@ -147,6 +151,12 @@ class SubsetPerturbedDataset:
     def n(self) -> int:
         return int(self.labels.shape[0])
 
+    def indicator_matrix(self) -> np.ndarray:
+        """n x k indicator columns in sensitive_values order."""
+        names = [f"{self.sensitive_name}={v}" for v in self.sensitive_values]
+        columns = [self.indicator_columns[name] for name in names]
+        return np.stack(columns, axis=1).astype(float)
+
 
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="", encoding="utf-8") as fh:
@@ -157,11 +167,13 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     if not data:
         raise EmptyFile(f"{path} has no data rows")
     width = len(header)
-    if min(map(len, data)) < width:
-        short = next(r for r, row in enumerate(data) if len(row) < width)
-        cells = len(data[short])
+    if set(map(len, data)) != {width}:
+        bad = next(r for r, row in enumerate(data) if len(row) != width)
+        cells = len(data[bad])
+        # a short row names its first missing column, a long one its first extra cell
+        column = header[cells] if cells < width else f"<cell {width + 1}>"
         raise UnparseableCell(
-            short, header[cells], f"row has {cells} cells, header has {width}"
+            bad, column, f"row has {cells} cells, header has {width}"
         )
     return header, data
 

@@ -147,18 +147,7 @@ def _design_matrix(
         raise SchemaMismatch(f"sensitive alphabet size {data.k} != trained {k}")
     blocks = [np.stack([data.feature_columns[n] for n in feature_names], axis=1)]
     if sensitive_as_feature:
-        if isinstance(data, SubsetPerturbedDataset):
-            blocks.append(
-                np.stack(
-                    [
-                        data.indicator_columns[f"{data.sensitive_name}={v}"]
-                        for v in data.sensitive_values
-                    ],
-                    axis=1,
-                ).astype(float)
-            )
-        else:
-            blocks.append(np.equal.outer(data.sensitive, np.arange(k)).astype(float))
+        blocks.append(data.indicator_matrix())
     blocks.append(np.ones((data.n, 1)))
     return np.concatenate(blocks, axis=1)
 

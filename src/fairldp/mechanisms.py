@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataset import SubsetPerturbedDataset, TabularDataset
 from .distribution import JointDistribution
 from .errors import AlphabetMismatch, DegenerateOutput, InvalidEpsilon
 
@@ -24,7 +25,11 @@ ENTRY_ATOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class MechanismMatrix:
-    """Row-stochastic matrix Q with entries[i][j] = Pr(report j | truth i)."""
+    """Row-stochastic matrix Q with entries[i][j] = Pr(report j | truth i).
+
+    Shares the mechanism interface with SsParams: induced, privacy_level,
+    within, release and report_fields.
+    """
 
     k: int
     entries: np.ndarray
@@ -35,7 +40,7 @@ class MechanismMatrix:
         q = np.array(self.entries, dtype=float)
         if q.shape != (self.k, self.k):
             raise ValueError(f"entries must be {self.k}x{self.k}, got {q.shape}")
-        if np.any(q < -ENTRY_ATOL) or np.any(q > 1.0 + ENTRY_ATOL):
+        if not np.all((q >= -ENTRY_ATOL) & (q <= 1.0 + ENTRY_ATOL)):
             raise ValueError("entries must lie in [0, 1]")
         rows = q.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > ENTRY_ATOL):
@@ -44,16 +49,34 @@ class MechanismMatrix:
         q.setflags(write=False)
         object.__setattr__(self, "entries", q)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "entries": [[float(v) for v in row] for row in self.entries],
-            "epsilon_star": privacy_level(self),
-        }
+    def induced(self, dist: JointDistribution) -> JointDistribution:
+        return induced_distribution(dist, self)
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MechanismMatrix":
-        return cls(k=int(payload["k"]), entries=np.array(payload["entries"], dtype=float))
+    def privacy_level(self) -> float:
+        return privacy_level(self)
+
+    def within(self, epsilon: float) -> bool:
+        return bool(verify_ldp(self, epsilon))
+
+    def report_fields(self) -> dict:
+        """The design report's mechanism fields."""
+        return {"entries": self.entries.tolist(), "ss": None}
+
+    def release(self, dataset: TabularDataset, seed: int) -> TabularDataset:
+        """Each record's value: one random() through its row's cumulative sums."""
+        cum = np.cumsum(self.entries, axis=1)
+        cum[:, -1] = 1.0
+        sensitive = np.asarray(dataset.sensitive)
+        n = sensitive.shape[0]
+        u = np.empty(n)
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            u[start:stop] = _uniforms(_record_outputs(seed, start, stop, 1)[:, 0])
+        out = np.empty_like(sensitive)
+        for a in range(self.k):
+            rows = sensitive == a
+            out[rows] = np.searchsorted(cum[a], u[rows], side="right")
+        return replace(dataset, sensitive=out)
 
 
 @dataclass(frozen=True)
@@ -97,7 +120,10 @@ class SubsetReport:
 
 @dataclass(frozen=True)
 class SsParams:
-    """Subset-report parameters; iterates as (omega, p_true) for unpacking."""
+    """Subset-report parameters; iterates as (omega, p_true) for unpacking.
+
+    Shares the mechanism interface with MechanismMatrix.
+    """
 
     omega: int
     p_true: float
@@ -113,6 +139,57 @@ class SsParams:
         stay = self.p_true * (self.omega - 1) / (self.k - 1)
         move = (1.0 - self.p_true) * self.omega / (self.k - 1)
         return stay + move
+
+    def induced(self, dist: JointDistribution) -> JointDistribution:
+        return ss_induced_distribution(dist, self)
+
+    def privacy_level(self) -> float:
+        return ss_privacy_level(self)
+
+    def within(self, epsilon: float) -> bool:
+        # tight by construction: the level is the budget the parameters came from
+        return abs(ss_privacy_level(self) - epsilon) <= 1e-9
+
+    def report_fields(self) -> dict:
+        """The design report's mechanism fields."""
+        ss = {
+            "omega": self.omega,
+            "p_true": self.p_true,
+            "p_off": self.p_off,
+            "k": self.k,
+            "epsilon": self.epsilon,
+        }
+        return {"entries": None, "ss": ss}
+
+    def release(self, dataset: TabularDataset, seed: int) -> SubsetPerturbedDataset:
+        """Each record's subset report as k indicator columns."""
+        sensitive = np.asarray(dataset.sensitive)
+        n = sensitive.shape[0]
+        indicators = np.zeros((n, dataset.k), dtype=float)
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            if self.k - 1 > _FLOYD_MAX_POP:
+                for i in range(start, stop):
+                    report = ss_perturb(int(sensitive[i]), self, record_rng(seed, i))
+                    indicators[i, list(report.members)] = 1.0
+            else:
+                indicators[start:stop] = _subset_indicators(
+                    sensitive[start:stop], self, seed, start
+                )
+        columns = {
+            f"{dataset.sensitive_name}={dataset.sensitive_values[v]}": indicators[:, v]
+            for v in range(dataset.k)
+        }
+        return SubsetPerturbedDataset(
+            feature_columns=dict(dataset.feature_columns),
+            indicator_columns=columns,
+            labels=dataset.labels,
+            k=dataset.k,
+            sensitive_name=dataset.sensitive_name,
+            sensitive_values=dataset.sensitive_values,
+            label_values=dataset.label_values,
+            provenance=dataset.provenance,
+        )
 
 
 def ss_privacy_level(params: SsParams) -> float:
@@ -523,61 +600,6 @@ def perturb_dataset(dataset, mech, seed: int):
     distribution, or ss_perturb. The streams of all records are computed
     together, chunk by chunk, and give the same bits as the per-record loop.
     """
-    from .dataset import SubsetPerturbedDataset, TabularDataset
-
-    if isinstance(mech, MechanismMatrix):
-        if mech.k != dataset.k:
-            raise AlphabetMismatch(mech.k, dataset.k)
-        cum = np.cumsum(mech.entries, axis=1)
-        cum[:, -1] = 1.0
-        sensitive = np.asarray(dataset.sensitive)
-        n = sensitive.shape[0]
-        u = np.empty(n)
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            u[start:stop] = _uniforms(_record_outputs(seed, start, stop, 1)[:, 0])
-        out = np.empty_like(sensitive)
-        for a in range(mech.k):
-            rows = sensitive == a
-            out[rows] = np.searchsorted(cum[a], u[rows], side="right")
-        return TabularDataset(
-            feature_columns=dict(dataset.feature_columns),
-            sensitive=out,
-            labels=dataset.labels,
-            k=dataset.k,
-            sensitive_name=dataset.sensitive_name,
-            sensitive_values=dataset.sensitive_values,
-            label_values=dataset.label_values,
-            provenance=dataset.provenance,
-        )
-    if isinstance(mech, SsParams):
-        if mech.k != dataset.k:
-            raise AlphabetMismatch(mech.k, dataset.k)
-        sensitive = np.asarray(dataset.sensitive)
-        n = sensitive.shape[0]
-        indicators = np.zeros((n, dataset.k), dtype=float)
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            if mech.k - 1 > _FLOYD_MAX_POP:
-                for i in range(start, stop):
-                    report = ss_perturb(int(sensitive[i]), mech, record_rng(seed, i))
-                    indicators[i, list(report.members)] = 1.0
-            else:
-                indicators[start:stop] = _subset_indicators(
-                    sensitive[start:stop], mech, seed, start
-                )
-        columns = {
-            f"{dataset.sensitive_name}={dataset.sensitive_values[v]}": indicators[:, v]
-            for v in range(dataset.k)
-        }
-        return SubsetPerturbedDataset(
-            feature_columns=dict(dataset.feature_columns),
-            indicator_columns=columns,
-            labels=dataset.labels,
-            k=dataset.k,
-            sensitive_name=dataset.sensitive_name,
-            sensitive_values=dataset.sensitive_values,
-            label_values=dataset.label_values,
-            provenance=dataset.provenance,
-        )
-    raise TypeError(f"unsupported mechanism type {type(mech).__name__}")
+    if mech.k != dataset.k:
+        raise AlphabetMismatch(mech.k, dataset.k)
+    return mech.release(dataset, seed)

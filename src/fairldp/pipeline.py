@@ -42,15 +42,10 @@ from .mechanisms import (
     MechanismMatrix,
     SsParams,
     grr_matrix,
-    induced_distribution,
     matrix_of_binary,
     perturb_dataset,
-    privacy_level,
     rr_mechanism,
-    ss_induced_distribution,
     ss_params,
-    ss_privacy_level,
-    verify_ldp,
 )
 
 SCHEMA_VERSION = 1
@@ -320,19 +315,18 @@ def design_mechanism(dist, config: RunConfig) -> tuple[MechanismMatrix | SsParam
 
 def _check_emitted_mechanism(mech, epsilon: float | None) -> float | None:
     """Audit before writing; returns the exact privacy level (None if infinite)."""
-    if isinstance(mech, SsParams):
-        level = ss_privacy_level(mech)
-        if abs(level - mech.epsilon) > 1e-9:
-            raise NumericalFailure(
-                f"subset mechanism privacy level {level} drifted from {mech.epsilon}"
-            )
-        return level
-    level = privacy_level(mech)
-    if epsilon is not None and not verify_ldp(mech, epsilon):
+    level = mech.privacy_level()
+    if epsilon is not None and not mech.within(epsilon):
         raise NumericalFailure(
             f"designed mechanism violates the privacy bound at epsilon={epsilon}"
         )
     return _finite_or_none(level)
+
+
+def _predicted(mech, dist: JointDistribution) -> dict:
+    """Data-unfairness of the distribution mech induces from dist."""
+    induced = mech.induced(dist)
+    return {"delta": float(delta(induced)), "delta_prime": float(delta_prime(induced))}
 
 
 def cmd_design(config: RunConfig, out_path: str | Path | None = None) -> dict:
@@ -348,29 +342,6 @@ def cmd_design(config: RunConfig, out_path: str | Path | None = None) -> dict:
     mech, extras = design_mechanism(dist, config)
     eps_star = _check_emitted_mechanism(mech, config.epsilon)
 
-    if isinstance(mech, SsParams):
-        entries = None
-        induced = ss_induced_distribution(dist, mech)
-        predicted = {
-            "delta": float(delta(induced)),
-            "delta_prime": float(delta_prime(induced)),
-        }
-        ss = {
-            "omega": mech.omega,
-            "p_true": mech.p_true,
-            "p_off": mech.p_off,
-            "k": mech.k,
-            "epsilon": mech.epsilon,
-        }
-    else:
-        entries = mech.entries.tolist()
-        induced = induced_distribution(dist, mech)
-        predicted = {
-            "delta": float(delta(induced)),
-            "delta_prime": float(delta_prime(induced)),
-        }
-        ss = None
-
     baselines = None
     if config.epsilon is not None:
         grr = grr_matrix(dist.k, config.epsilon)
@@ -378,9 +349,7 @@ def cmd_design(config: RunConfig, out_path: str | Path | None = None) -> dict:
         baselines = {
             "grr": {
                 "entries": grr.entries.tolist(),
-                "predicted_delta_prime": float(
-                    delta_prime(induced_distribution(dist, grr))
-                ),
+                "predicted_delta_prime": float(delta_prime(grr.induced(dist))),
             },
             "ss": {"omega": sp.omega, "p_true": sp.p_true, "p_off": sp.p_off},
         }
@@ -396,10 +365,9 @@ def cmd_design(config: RunConfig, out_path: str | Path | None = None) -> dict:
             "group_probs": dist.group_probs.tolist(),
             "pos_rates": dist.pos_rates.tolist(),
         },
-        "entries": entries,
-        "ss": ss,
+        **mech.report_fields(),
         "eps_star": eps_star,
-        "predicted": predicted,
+        "predicted": _predicted(mech, dist),
         "min_achievable_error": (
             None
             if config.epsilon is None
@@ -414,14 +382,43 @@ def cmd_design(config: RunConfig, out_path: str | Path | None = None) -> dict:
 
 
 def mechanism_from_payload(payload: dict) -> MechanismMatrix | SsParams:
-    """Rebuild the mechanism object a design report describes."""
-    if payload.get("ss") is not None:
-        ss = payload["ss"]
-        return ss_params(int(ss["k"]), float(ss["epsilon"]))
-    entries = payload.get("entries")
-    if entries is None:
-        raise DataError("design report has neither entries nor subset parameters")
-    return MechanismMatrix(int(payload["k"]), np.array(entries, dtype=float))
+    """Rebuild the mechanism object a design report describes.
+
+    Any malformed mechanism raises DataError.
+    """
+    try:
+        if payload.get("ss") is not None:
+            return _ss_from_payload(payload)
+        entries = payload.get("entries")
+        if entries is None:
+            raise DataError("design report has neither entries nor subset parameters")
+        return MechanismMatrix(int(payload["k"]), np.array(entries, dtype=float))
+    except KeyError as missing:
+        raise DataError(f"design report is missing {missing}") from None
+    except (TypeError, ValueError, OverflowError, InvalidEpsilon) as err:
+        raise DataError(f"design report holds a malformed mechanism: {err}") from None
+
+
+def _ss_from_payload(payload: dict) -> SsParams:
+    """Subset parameters rebuilt from the report's ss.k and ss.epsilon.
+
+    Every other value the ss block records, and the report's top-level
+    epsilon where present, must match the rebuilt parameters.
+    """
+    recorded = payload["ss"]
+    params = ss_params(int(recorded["k"]), float(recorded["epsilon"]))
+    rebuilt = params.report_fields()["ss"]
+    fields = [(f"ss.{name}", v, rebuilt.get(name)) for name, v in recorded.items()]
+    if "epsilon" in payload:
+        fields.append(("epsilon", payload["epsilon"], params.epsilon))
+    for name, value, expected in fields:
+        number = type(value) in (int, float)  # a JSON number; a bool is not one
+        if not (number and expected is not None and abs(value - expected) <= 1e-9):
+            raise DataError(
+                f"design report's {name} = {value!r} does not match {expected!r}, "
+                "rebuilt from ss.k and ss.epsilon"
+            )
+    return params
 
 
 def _payload_hash(payload: dict) -> str:
@@ -456,17 +453,10 @@ def cmd_perturb(
     sens_idx = header.index(config.columns.sensitive)
     stamp = f"{COMMENT_PREFIX} seed={config.seed} mechanism={_payload_hash(payload)}"
 
-    if isinstance(mech, SsParams):
-        names = [
-            f"{dataset.sensitive_name}={v}" for v in dataset.sensitive_values
-        ]
+    if result.indicator_columns is not None:
+        names = [f"{result.sensitive_name}={v}" for v in result.sensitive_values]
         header = header[:sens_idx] + names + header[sens_idx + 1 :]
-        cells = (
-            np.stack([result.indicator_columns[name] for name in names], axis=1)
-            .astype(int)
-            .astype(str)
-            .tolist()
-        )
+        cells = result.indicator_matrix().astype(int).astype(str).tolist()
         rows = [
             row[:sens_idx] + flags + row[sens_idx + 1 :]
             for row, flags in zip(rows, cells)
@@ -707,42 +697,18 @@ def _verify_design(payload: dict) -> dict[str, bool]:
     dist = JointDistribution.from_rates(
         payload["dist"]["group_probs"], payload["dist"]["pos_rates"]
     )
-    if payload.get("ss") is not None:
-        mech = mechanism_from_payload(payload)
-        level = ss_privacy_level(mech)
-        checks["ldp"] = abs(level - float(epsilon)) <= 1e-9
-        checks["eps_star"] = (
-            payload["eps_star"] is not None
-            and abs(level - payload["eps_star"]) <= 1e-9
-        )
-        induced = ss_induced_distribution(dist, mech)
-        predicted = payload.get("predicted") or {}
-        checks["predicted_delta"] = (
-            abs(float(delta(induced)) - predicted.get("delta", math.nan)) <= 1e-9
-        )
-        checks["predicted_delta_prime"] = (
-            abs(float(delta_prime(induced)) - predicted.get("delta_prime", math.nan))
-            <= 1e-9
-        )
+    mech = mechanism_from_payload(payload)
+    if epsilon is not None:
+        checks["ldp"] = mech.within(float(epsilon))
+    level = mech.privacy_level()
+    recorded = payload.get("eps_star")
+    if recorded is None:
+        checks["eps_star"] = not math.isfinite(level)
     else:
-        mech = mechanism_from_payload(payload)
-        if epsilon is not None:
-            checks["ldp"] = bool(verify_ldp(mech, float(epsilon)))
-        level = privacy_level(mech)
-        recorded = payload.get("eps_star")
-        if recorded is None:
-            checks["eps_star"] = not math.isfinite(level)
-        else:
-            checks["eps_star"] = abs(level - recorded) <= 1e-9
-        induced = induced_distribution(dist, mech)
-        predicted = payload.get("predicted") or {}
-        checks["predicted_delta"] = (
-            abs(float(delta(induced)) - predicted.get("delta", math.nan)) <= 1e-9
-        )
-        checks["predicted_delta_prime"] = (
-            abs(float(delta_prime(induced)) - predicted.get("delta_prime", math.nan))
-            <= 1e-9
-        )
+        checks["eps_star"] = abs(level - recorded) <= 1e-9
+    predicted = payload.get("predicted") or {}
+    for name, value in _predicted(mech, dist).items():
+        checks[f"predicted_{name}"] = abs(value - predicted.get(name, math.nan)) <= 1e-9
     if epsilon is not None and payload.get("min_achievable_error") is not None:
         recomputed = min_achievable_error(dist, float(epsilon))
         checks["min_achievable_error"] = (

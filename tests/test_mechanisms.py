@@ -1,5 +1,6 @@
 """Tests for LDP mechanisms, verification, and dataset perturbation."""
 
+import json
 import math
 
 import numpy as np
@@ -24,10 +25,13 @@ from fairldp.mechanisms import (
     privacy_level,
     record_rng,
     rr_mechanism,
+    ss_induced_distribution,
     ss_params,
     ss_perturb,
+    ss_privacy_level,
     verify_ldp,
 )
+from fairldp.pipeline import mechanism_from_payload
 
 
 def random_distribution(rng, k):
@@ -308,6 +312,46 @@ class TestInducedDistribution:
         )
 
 
+def same_distribution(a, b):
+    return (
+        np.array_equal(a.group_probs, b.group_probs)
+        and np.array_equal(a.pos_rates, b.pos_rates)
+        and a.pos_marginal == b.pos_marginal
+    )
+
+
+class TestMechanismInterface:
+    """Both mechanism types answer the same questions as the module functions."""
+
+    def test_matrix_methods_match_functions(self):
+        d = random_distribution(np.random.default_rng(3), 3)
+        Q = grr_matrix(3, 0.8)
+        assert Q.privacy_level() == privacy_level(Q)
+        assert same_distribution(Q.induced(d), induced_distribution(d, Q))
+        assert Q.within(0.8) and not Q.within(0.7)
+        assert Q.report_fields() == {"entries": Q.entries.tolist(), "ss": None}
+
+    def test_subset_methods_match_functions(self):
+        d = random_distribution(np.random.default_rng(4), 4)
+        params = ss_params(4, 0.9)
+        assert params.privacy_level() == ss_privacy_level(params)
+        assert same_distribution(params.induced(d), ss_induced_distribution(d, params))
+        assert params.within(0.9) and not params.within(0.9 + 1e-6)
+        fields = params.report_fields()
+        assert fields["entries"] is None
+        assert fields["ss"] == {
+            "omega": params.omega,
+            "p_true": params.p_true,
+            "p_off": params.p_off,
+            "k": 4,
+            "epsilon": 0.9,
+        }
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ValueError, match="entries"):
+            MechanismMatrix(2, np.array([[math.nan, 1.0], [0.5, 0.5]]))
+
+
 class TestPerturbDataset:
     def test_identity_round_trip(self):
         ds = make_dataset([0, 1, 1, 0, 1])
@@ -366,6 +410,17 @@ class TestPerturbDataset:
         assert len(out.indicator_columns) == 3
         stacked = np.stack(list(out.indicator_columns.values()), axis=1)
         assert np.all(stacked.sum(axis=1) == params.omega)
+        assert np.array_equal(out.indicator_matrix(), stacked)
+
+    def test_matrix_output_indicator_matrix_is_one_hot(self):
+        ds = make_dataset([2, 0, 1, 2], k=3)
+        out = perturb_dataset(ds, MechanismMatrix(3, np.eye(3)), seed=5)
+        assert np.array_equal(out.indicator_matrix(), np.eye(3)[[2, 0, 1, 2]])
+
+    def test_ss_alphabet_mismatch(self):
+        ds = make_dataset([0, 1, 2], k=3)
+        with pytest.raises(AlphabetMismatch):
+            perturb_dataset(ds, ss_params(4, 1.0), seed=0)
 
     def test_ss_refuses_metric_estimation(self):
         ds = make_dataset([0, 1, 0, 1])
@@ -557,10 +612,10 @@ class TestBulkReleaseExact:
 class TestSerialization:
     def test_matrix_round_trip(self):
         Q = grr_matrix(3, 1.2)
-        payload = Q.to_json_dict()
-        assert payload["epsilon_star"] == pytest.approx(1.2, abs=1e-9)
-        back = MechanismMatrix.from_json_dict(payload)
+        payload = json.loads(json.dumps({"k": Q.k, **Q.report_fields()}))
+        back = mechanism_from_payload(payload)
         assert np.array_equal(back.entries, Q.entries)
+        assert back.privacy_level() == pytest.approx(1.2, abs=1e-9)
 
     def test_subset_report_sorted(self):
         report = SubsetReport(omega=3, members=frozenset({4, 0, 2}))

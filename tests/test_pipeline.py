@@ -709,15 +709,22 @@ class TestCmdVerify:
         cmd_design(base_config(csv_path, **kw), out)
         return out
 
-    def test_fresh_reports_pass(self, tmp_path, planted_csv, tri_csv):
-        for path in (
-            self.fresh_design(tmp_path, planted_csv, mechanism=Mechanism.OPT_BINARY),
-            self.fresh_design(tmp_path, tri_csv, mechanism=Mechanism.GRR),
-            self.fresh_design(tmp_path, tri_csv, mechanism=Mechanism.SS, epsilon=0.7),
-        ):
+    def test_fresh_reports_pass(self, tmp_path, planted_csv, tri_csv, kary_fixture_csv):
+        cases = [
+            (planted_csv, dict(mechanism=Mechanism.OPT_BINARY)),
+            (tri_csv, dict(mechanism=Mechanism.GRR)),
+            (tri_csv, dict(mechanism=Mechanism.SS, epsilon=0.7)),
+            (planted_csv, dict(mechanism=Mechanism.NON_PRIVATE, epsilon=None)),
+            (planted_csv, dict(mechanism=Mechanism.RR)),
+            (kary_fixture_csv, dict(mechanism=Mechanism.OPT_KARY, zeta=0.55)),
+        ]
+        for csv_path, kw in cases:
+            path = self.fresh_design(tmp_path, csv_path, **kw)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            assert payload["mechanism"] == kw["mechanism"].value
             result = cmd_verify(path)
-            assert result["ok"] is True
-            assert all(result["checks"].values())
+            assert result["ok"] is True, kw
+            assert all(result["checks"].values()), kw
 
     def test_tampered_entries_fail(self, tmp_path, planted_csv):
         path = self.fresh_design(tmp_path, planted_csv)
@@ -763,6 +770,26 @@ class TestCmdVerify:
         bad.write_text("{", encoding="utf-8")
         with pytest.raises(DataError, match="JSON"):
             cmd_verify(bad)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(lambda p: p["ss"].update(omega=2), id="omega"),
+            pytest.param(lambda p: p["ss"].update(omega="1"), id="omega-str"),
+            pytest.param(lambda p: p["ss"].update(p_true=0.5), id="p-true"),
+            pytest.param(lambda p: p["ss"].update(p_off=0.5), id="p-off"),
+            pytest.param(lambda p: p["ss"].update(epsilon=0.8), id="ss-epsilon"),
+            pytest.param(lambda p: p.update(epsilon=0.8), id="epsilon"),
+            pytest.param(lambda p: p.update(epsilon=None), id="epsilon-null"),
+        ],
+    )
+    def test_tampered_subset_report_is_data_error(self, tmp_path, tri_csv, tamper):
+        path = self.fresh_design(tmp_path, tri_csv, mechanism=Mechanism.SS, epsilon=0.7)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        tamper(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="rebuilt from ss.k and ss.epsilon"):
+            cmd_verify(path)
 
     def test_missing_dist_is_data_error(self, tmp_path, planted_csv):
         path = self.fresh_design(tmp_path, planted_csv)
@@ -839,6 +866,49 @@ class TestCli:
         design.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["verify", str(design)]) == 4
         assert "missing 'dist'" in capsys.readouterr().err
+
+    def test_long_csv_row_exit(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("x,group,label\n1.0,a,1\n2.0,b,0,extra\n", encoding="utf-8")
+        cfg = self.write_config(tmp_path, config_dict(data))
+        assert main(["design", "--config", str(cfg)]) == 4
+        assert "row has 4 cells, header has 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(lambda p: p["entries"][0].__setitem__(0, 1.05), id="row-sum"),
+            pytest.param(lambda p: p["entries"][0].__setitem__(0, None), id="null"),
+            pytest.param(lambda p: p.__setitem__("entries", "x"), id="entries-str"),
+            pytest.param(
+                lambda p: p.update(ss={"epsilon": 1.0}, entries=None), id="ss-no-k"
+            ),
+            pytest.param(
+                lambda p: p.update(
+                    ss={"k": 2, "epsilon": 1.0, "omega": 1, "p_true": 0.5},
+                    entries=None,
+                ),
+                id="ss-p-true",
+            ),
+        ],
+    )
+    def test_malformed_mechanism_exit(self, tmp_path, planted_csv, capsys, tamper):
+        cfg = self.write_config(tmp_path, config_dict(planted_csv))
+        design = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg), "--out", str(design)]) == 0
+        payload = json.loads(design.read_text(encoding="utf-8"))
+        tamper(payload)
+        design.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "pert.csv"
+        perturb = ["perturb", "--config", str(cfg), "--mechanism-file", str(design)]
+        for command in (["verify", str(design)], [*perturb, "--out", str(out)]):
+            assert main(command) == 4
+            captured = capsys.readouterr()
+            # a DataError, not a failed verification report
+            assert captured.out == ""
+            assert captured.err.startswith("error: design report")
+        assert not out.exists()
 
     def test_rr_on_three_groups_is_data_error(self, tmp_path, tri_csv):
         cfg = self.write_config(tmp_path, config_dict(tri_csv, mechanism="RR"))
