@@ -1,5 +1,6 @@
 """Tests for the logistic trainer, thresholding, and fairness gaps."""
 
+import hashlib
 import json
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+from fairldp import evaluation
 from fairldp.dataset import TabularDataset
 from fairldp.errors import (
     EmptyGroup,
@@ -17,6 +20,7 @@ from fairldp.errors import (
     UndefinedRate,
 )
 from fairldp.evaluation import (
+    NEWTON_STEPS,
     Calibration,
     FairnessReport,
     GroupStats,
@@ -46,6 +50,56 @@ def gaussian_dataset(rng, n, signal=2.0, k=2):
     x1 = rng.standard_normal(n) + signal * (labels - 0.5)
     x2 = rng.standard_normal(n)
     return make_dataset({"x1": x1, "x2": x2}, groups, labels, k=k)
+
+
+def separable_toy():
+    rng = np.random.default_rng(0)
+    n = 200
+    labels = rng.integers(0, 2, n)
+    x1 = labels * 2.0 - 1.0 + 0.1 * rng.standard_normal(n)
+    return make_dataset({"x1": x1}, rng.integers(0, 2, n), labels)
+
+
+def separable_threshold():
+    """Complete separation: the label is [x > 0]."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(400)
+    return make_dataset({"x": x}, rng.integers(0, 2, 400), (x > 0).astype(int))
+
+
+def group_all_positive():
+    """Quasi-complete separation: every record of group 2 is positive."""
+    rng = np.random.default_rng(8)
+    n = 400
+    groups = rng.integers(0, 3, n)
+    labels = rng.integers(0, 2, n)
+    x1 = rng.standard_normal(n) + (labels - 0.5)
+    labels[groups == 2] = 1
+    return make_dataset({"x1": x1, "x2": rng.standard_normal(n)}, groups, labels, k=3)
+
+
+def gradient_descent_oracle(ds, learning_rate=0.5, max_epochs=3000, grad_tol=1e-7):
+    """Plain full-batch gradient descent on the trainer's standardized design.
+
+    Written apart from the package: the numeric columns in sorted name order,
+    standardized by the training mean and standard deviation, then the
+    sensitive one-hot block and the bias column.
+    """
+    names = sorted(ds.feature_columns)
+    numeric = np.stack([ds.feature_columns[name] for name in names], axis=1)
+    sigma = numeric.std(axis=0)
+    sigma[sigma == 0.0] = 1.0
+    numeric = (numeric - numeric.mean(axis=0)) / sigma
+    one_hot = np.eye(ds.k)[np.asarray(ds.sensitive)]
+    X = np.concatenate([numeric, one_hot, np.ones((ds.n, 1))], axis=1)
+    y = np.asarray(ds.labels, dtype=float)
+    w = np.zeros(X.shape[1])
+    for _ in range(max_epochs):
+        grad = X.T @ (expit(X @ w) - y) / len(y)
+        if np.abs(grad).max() < grad_tol:
+            break
+        w = w - learning_rate * grad
+    return w
 
 
 def zero_model(feature_names=("x1", "x2"), k=2, calibration=Calibration.FIXED):
@@ -79,11 +133,7 @@ class TestTrainConfig:
 
 class TestTrainLogistic:
     def test_separable_toy(self):
-        rng = np.random.default_rng(0)
-        n = 200
-        labels = rng.integers(0, 2, n)
-        x1 = labels * 2.0 - 1.0 + 0.1 * rng.standard_normal(n)
-        ds = make_dataset({"x1": x1}, rng.integers(0, 2, n), labels)
+        ds = separable_toy()
         model = train_logistic(ds, TrainConfig(calibration=Calibration.FIXED))
         assert (model.predict(ds) == ds.labels).mean() >= 0.99
 
@@ -115,6 +165,14 @@ class TestTrainLogistic:
         with pytest.raises(NonFiniteLoss):
             train_logistic(ds)
 
+    def test_non_finite_logits_fail_loudly_in_fallback(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_newton", lambda X, y, grad_tol: None)
+        x = np.ones(10)
+        x[3] = np.nan
+        ds = make_dataset({"x1": x}, np.zeros(10, int), np.arange(10) % 2)
+        with pytest.raises(NonFiniteLoss):
+            train_logistic(ds)
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         ds = gaussian_dataset(rng, 300)
@@ -134,6 +192,56 @@ class TestTrainLogistic:
         model = train_logistic(ds, TrainConfig(calibration=Calibration.FIXED))
         assert np.all(np.isfinite(model.weights))
         assert (model.predict(ds) == ds.labels).mean() >= 0.95
+
+
+# sha256 of train_logistic's weights, recorded from the gradient-descent-only
+# trainer that preceded the Newton path; separated data has no finite
+# minimiser, so it must keep reaching gradient descent and these bytes
+SEPARATED_WEIGHTS_SHA256 = {
+    "toy": "097b9632ea5e08316cf23ba8ecb82cac7ee1d91305dec959943032db50d70f55",
+    "threshold": "76af27d426f33df20ed92fc2cc16a2350f56d77a670ce268a3ec24625a937dd0",
+    "group_all_positive": "97bf75b3ae1b0db0e420feeb03e1c1da8882e3fd5a433319dbe9ae8bd1b3ba68",
+}
+
+
+class TestNewtonTrainer:
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("toy", separable_toy),
+            ("threshold", separable_threshold),
+            ("group_all_positive", group_all_positive),
+        ],
+    )
+    def test_separated_data_keeps_gradient_descent_bytes(self, name, make):
+        weights = train_logistic(make()).weights
+        digest = hashlib.sha256(weights.tobytes()).hexdigest()
+        assert digest == SEPARATED_WEIGHTS_SHA256[name]
+
+    @pytest.mark.parametrize(
+        "seed, n, k", [(20, 300, 2), (21, 500, 2), (22, 800, 3), (23, 1200, 4), (24, 2000, 2)]
+    )
+    def test_newton_reaches_the_gradient_descent_minimiser(self, monkeypatch, seed, n, k):
+        ds = gaussian_dataset(np.random.default_rng(seed), n, k=k)
+        calls = []
+
+        def counted(z):
+            calls.append(1)
+            return expit(z)
+
+        monkeypatch.setattr(evaluation, "expit", counted)
+        weights = train_logistic(ds).weights
+        assert len(calls) <= NEWTON_STEPS
+        np.testing.assert_allclose(weights, gradient_descent_oracle(ds), rtol=0, atol=1e-5)
+
+    def test_linalg_error_falls_back_to_gradient_descent(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", singular)
+        ds = gaussian_dataset(np.random.default_rng(25), 400)
+        weights = train_logistic(ds).weights
+        assert weights.tobytes() == gradient_descent_oracle(ds).tobytes()
 
 
 class TestBaseRateThreshold:
