@@ -2,15 +2,15 @@
 
 The package designs randomization mechanisms that make a dataset's sensitive
 attribute both locally private and fairer for downstream learning: a closed
-form for binary attributes, a bisection-over-feasibility solver for k-ary
-ones, plus the standard randomized-response baselines, fairness metrics, a
+form for binary attributes, a Dinkelbach iteration over LPs for k-ary
+ones (whose certificate lists each step's disparity target t and LP value
+s), plus the standard randomized-response baselines, fairness metrics, a
 small trainable classifier, and a reproducible CSV pipeline.
 """
 
 from .binary_design import (
     BinaryDesignResult,
     BranchCase,
-    boundary_oracle,
     objective_ratio,
     opt_binary,
 )
@@ -27,7 +27,6 @@ from .kary_design import (
     KaryDesignResult,
     SolverConfig,
     assemble_constraints,
-    brute_force_opt_k,
     fairness_rows_at,
     min_achievable_error,
     solve_opt_k,
@@ -75,7 +74,6 @@ from .synthetic import PlantedConfig, bayes_accuracy, generate_planted
 __all__ = [
     "BinaryDesignResult",
     "BranchCase",
-    "boundary_oracle",
     "objective_ratio",
     "opt_binary",
     "JointDistribution",
@@ -87,7 +85,6 @@ __all__ = [
     "KaryDesignResult",
     "SolverConfig",
     "assemble_constraints",
-    "brute_force_opt_k",
     "fairness_rows_at",
     "min_achievable_error",
     "solve_opt_k",

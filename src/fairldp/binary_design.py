@@ -1,10 +1,9 @@
-"""Closed-form optimal binary release and a grid oracle for verifying it.
+"""Closed-form optimal binary release.
 
 The design problem: given a binary sensitive attribute and a privacy level,
 pick the binary mechanism (p, q) that minimizes the ratio of post-release
 demographic disparity to the original disparity.  The minimizer admits a
-closed form; `boundary_oracle` re-derives it by brute-force search over the
-privacy-tight boundary curves and exists purely to check `opt_binary`.
+closed form.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .distribution import JointDistribution, delta_prime
 from .errors import InvalidEpsilon, NotBinary, ZeroBaseUnfairness
@@ -109,34 +106,3 @@ def opt_binary(dist: JointDistribution, epsilon: float) -> BinaryDesignResult:
         epsilon=float(epsilon),
         relabeled=relabeled,
     )
-
-
-def boundary_oracle(
-    dist: JointDistribution, epsilon: float, grid_n: int
-) -> tuple[float, float, float]:
-    """Brute-force argmin of the disparity ratio over the privacy boundary.
-
-    Evaluates grid_n points on each of the two curves where the privacy
-    constraint is tight (p = e^eps (1-q) and q = e^eps (1-p), clipped to
-    [1/2, 1]^2) and returns (p, q, objective) for the best point.  Ties are
-    broken lexicographically on (p, q) so the result is deterministic.
-    """
-    _require_binary(dist)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise InvalidEpsilon(epsilon)
-    if grid_n < 1000:
-        raise ValueError(f"grid_n must be at least 1000, got {grid_n}")
-    if delta_prime(dist) == 0.0:
-        raise ZeroBaseUnfairness()
-    p0, p1 = dist.group_probs
-    em = math.exp(-epsilon)
-    # both curves run from the symmetric point p = q = e^eps/(e^eps+1) to a
-    # corner where one parameter is exactly 1/2; parameterizing by the free
-    # coordinate avoids cancellation in e^eps (1 - t) for large epsilon
-    ts = np.linspace(0.5, 1.0 / (1.0 + em), grid_n)
-    mirrored = 1.0 - ts * em
-    ps = np.concatenate([ts, mirrored])
-    qs = np.concatenate([mirrored, ts])
-    vals = _ratio_core(p0, p1, ps, qs)
-    best = np.lexsort((qs, ps, vals))[0]
-    return float(ps[best]), float(qs[best]), float(vals[best])

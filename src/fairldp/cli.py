@@ -5,7 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DataError, FairLdpError, SolverError
+from .errors import (
+    ConfigError,
+    DataError,
+    FairLdpError,
+    NumericalFailure,
+    SolverError,
+)
 from .pipeline import (
     cmd_design,
     cmd_evaluate,
@@ -191,6 +197,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericalFailure as err:
+        print(f"error: {err}", file=sys.stderr)
+        for name, value in err.details().items():
+            print(f"  {name}: {value}", file=sys.stderr)
+        return EXIT_SOLVER
     except SolverError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SOLVER

@@ -96,7 +96,40 @@ class InfeasibleBudget(SolverError):
 
 
 class NumericalFailure(SolverError):
-    """A numerical routine could not certify its result."""
+    """A numerical routine could not certify its result.
+
+    A failed design LP also says where it failed: the design stage, the
+    disparity target t, the HiGHS status and message, and the problem's k,
+    epsilon and zeta.  A field that does not apply is None.
+    """
+
+    FIELDS = ("stage", "t", "status", "message", "k", "epsilon", "zeta")
+
+    def __init__(
+        self,
+        reason: str,
+        *,
+        stage: str | None = None,
+        t: float | None = None,
+        status: int | None = None,
+        message: str | None = None,
+        k: int | None = None,
+        epsilon: float | None = None,
+        zeta: float | None = None,
+    ):
+        self.stage = stage
+        self.t = t
+        self.status = status
+        self.message = message
+        self.k = k
+        self.epsilon = epsilon
+        self.zeta = zeta
+        super().__init__(reason)
+
+    def details(self) -> dict:
+        """The fields that apply, in FIELDS order."""
+        values = {name: getattr(self, name) for name in self.FIELDS}
+        return {name: value for name, value in values.items() if value is not None}
 
 
 class SingleClassTrainingSet(DataError):

@@ -1,11 +1,13 @@
-"""Disparity-minimizing k-ary mechanism design via bisection over LP feasibility.
+"""Disparity-minimizing k-ary mechanism design by a Dinkelbach iteration over LPs.
 
 The design problem minimizes the worst per-output relative disparity of the
 released attribute subject to privacy, truthfulness, and utility constraints.
-For a fixed disparity target t every constraint is linear in the off-diagonal
-mechanism entries, and feasibility is monotone in t, so bisection over a
-linear-feasibility oracle finds the optimum.  A multi-pass grid search over
-the raw matrix entries (`brute_force_opt_k`) serves as an independent check.
+Every constraint is linear in the off-diagonal mechanism entries, and the
+disparity is a max of ratios of affine functions with positive denominators,
+so a generalized Dinkelbach iteration (Dinkelbach 1967; Crouzeix, Ferland &
+Schaible 1985) finds the optimum with one LP per step.  Every LP goes to
+HiGHS with its rows equilibrated; results are checked against the unscaled
+rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import (
     InvalidEpsilon,
     NumericalFailure,
     SolverError,
-    TooLarge,
 )
 from .mechanisms import MechanismMatrix, induced_distribution
 
@@ -35,7 +36,10 @@ LP_OPTIONS = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets and tolerances for the k-ary design solver."""
+    """Budgets and tolerances for the k-ary design solver.
+
+    `max_bisection_iters` caps the Dinkelbach steps of `solve_opt_k`.
+    """
 
     epsilon: float
     zeta: float
@@ -105,14 +109,24 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Bisection trace plus labeled constraint slacks at the returned point."""
+    """Dinkelbach trace plus labeled constraint slacks at the returned point.
+
+    `iterations` holds one (t, s) pair per Dinkelbach step: the disparity
+    target t the step's LP ran at, and that LP's optimum s, how far below t
+    the best feasible point brings every per-output ratio, measured against
+    the previous point's denominators (s < 0: some point beats t).  The t
+    strictly decrease and the last s is at least -objective_tol / 10,
+    unless `max_bisection_iters` cut the iteration short.  A design whose
+    t = 0 probe is feasible records the single pair (0.0, 0.0) and made no
+    step.  A design makes 3 + len(iterations) LP solves, or 3 in that case.
+    """
 
     iterations: list[tuple[float, float]]
     slacks: dict[str, float]
 
     def to_json_dict(self) -> dict:
         return {
-            "iterations": [[lo, hi] for lo, hi in self.iterations],
+            "iterations": [[t, s] for t, s in self.iterations],
             "slacks": dict(self.slacks),
         }
 
@@ -227,28 +241,51 @@ def fairness_rows_at(dist: JointDistribution, t: float) -> LinearConstraintSyste
 
 
 def _run_lp(system: LinearConstraintSystem, objective: np.ndarray):
+    # equilibrate: every row scaled to a largest coefficient of 1, so HiGHS's
+    # tolerances mean the same on the privacy rows (coefficients up to
+    # e^epsilon) as on the fairness rows (coefficients of order 1/k)
+    scale = np.abs(system.A).max(axis=1)
+    scale[scale == 0.0] = 1.0
     return linprog(
         objective,
-        A_ub=system.A,
-        b_ub=system.b,
+        A_ub=system.A / scale[:, None],
+        b_ub=system.b / scale,
         bounds=(None, None),
         method="highs",
         options=LP_OPTIONS,
     )
 
 
+def _checked_point(
+    res, system: LinearConstraintSystem, tol: float, stage: str, t, problem: dict
+) -> np.ndarray:
+    """The LP's point, or a NumericalFailure saying where the LP failed."""
+    if res.status != 0:
+        reason = f"{stage} ended with status {res.status}"
+        if t is not None:
+            reason += f" at t={t}"
+    elif not system.satisfied(res.x, tol):
+        reason = f"{stage} returned a point violating its own system"
+    else:
+        return np.asarray(res.x)
+    raise NumericalFailure(
+        reason, stage=stage, t=t, status=res.status, message=res.message, **problem
+    )
+
+
 def lp_feasible(
-    system: LinearConstraintSystem, tol: float = 1e-9
+    system: LinearConstraintSystem, tol: float = 1e-9, *, t=None, **problem
 ) -> FeasiblePoint | Infeasible:
-    """Find any point satisfying every row within tol, or certify none exists."""
+    """Find any point satisfying every row within tol, or certify none exists.
+
+    `t` and `problem` (k, epsilon, zeta) only label a NumericalFailure.
+    """
     res = _run_lp(system, np.zeros(system.num_vars))
     if res.status == 2:
         return Infeasible()
-    if res.status != 0:
-        raise NumericalFailure(f"feasibility solve ended with status {res.status}")
-    if not system.satisfied(res.x, tol):
-        raise NumericalFailure("solver returned a point violating its own system")
-    return FeasiblePoint(np.asarray(res.x))
+    return FeasiblePoint(
+        _checked_point(res, system, tol, "feasibility solve", t, problem)
+    )
 
 
 def _utility_objective(dist: JointDistribution) -> np.ndarray:
@@ -258,57 +295,45 @@ def _utility_objective(dist: JointDistribution) -> np.ndarray:
 def solve_opt_k(dist: JointDistribution, cfg: SolverConfig) -> KaryDesignResult:
     """Minimize the worst per-output disparity subject to the static system.
 
-    Bisects the disparity target: the target is feasible iff the fairness rows
-    joined with the static system admit a point, and feasibility is monotone
-    in the target.  Among mechanisms optimal at the final target, a second LP
-    picks the one with the smallest expected reporting error.  The certificate
-    records the bisection intervals and the labeled slacks of the returned
-    point.
+    The disparity is a max of ratios f_r(x) / g_r(x) of affine functions with
+    positive denominators, so a generalized Dinkelbach iteration finds its
+    minimum (Crouzeix, Ferland & Schaible 1985).  After a probe at t = 0,
+    t starts at the disparity of a feasible point.  Each step solves one LP
+    in (x, s): minimize s subject to the static rows and
+    f_r(x) - t g_r(x) <= s g_r(x_prev), with x_prev the previous point.
+    Once s >= -objective_tol / 10 no point beats t by more than that, so t
+    is optimal to within it; else t drops to the disparity of the new point
+    and the step repeats, at most `max_bisection_iters` times.  Among
+    mechanisms optimal at the final t, a last LP picks the one with the
+    smallest expected reporting error.  The certificate records each step's
+    (t, s) and the labeled slacks of the returned point.
     """
     try:
-        return _bisect_design(dist, cfg)
+        return _dinkelbach_design(dist, cfg)
     except SolverError as err:
         # the solver's frames hold every constraint matrix of the design; a
         # caller that keeps the error would keep them all alive
         raise err.with_traceback(None)
 
 
-def _bisect_design(dist: JointDistribution, cfg: SolverConfig) -> KaryDesignResult:
+def _dinkelbach_design(dist: JointDistribution, cfg: SolverConfig) -> KaryDesignResult:
+    problem = {"k": dist.k, "epsilon": cfg.epsilon, "zeta": cfg.zeta}
+    tol = cfg.feasibility_tol
     static = assemble_constraints(dist, cfg)
-    if isinstance(lp_feasible(static, cfg.feasibility_tol), Infeasible):
+    start = lp_feasible(static, tol, **problem)
+    if isinstance(start, Infeasible):
         raise InfeasibleBudget(cfg.epsilon, cfg.zeta)
 
-    def feasible_at(t: float) -> bool:
-        system = static.extended(fairness_rows_at(dist, t))
-        return isinstance(lp_feasible(system, cfg.feasibility_tol), FeasiblePoint)
-
-    trace: list[tuple[float, float]] = []
-    if feasible_at(0.0):
+    at_zero = static.extended(fairness_rows_at(dist, 0.0))
+    if isinstance(lp_feasible(at_zero, tol, t=0.0, **problem), FeasiblePoint):
         t_star = 0.0
-        trace.append((0.0, 0.0))
+        trace = [(0.0, 0.0)]
     else:
-        lo = 0.0
-        hi = max(1.0 / dist.pos_marginal - 1.0, 1.0)
-        for _ in range(cfg.max_bisection_iters):
-            if hi - lo <= cfg.objective_tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if feasible_at(mid):
-                hi = mid
-            else:
-                lo = mid
-            trace.append((lo, hi))
-        t_star = hi
+        t_star, trace = _dinkelbach_steps(dist, cfg, static, start.x, problem)
 
     final_system = static.extended(fairness_rows_at(dist, t_star))
     res = _run_lp(final_system, _utility_objective(dist))
-    if res.status != 0:
-        raise NumericalFailure(
-            f"utility refinement ended with status {res.status} at t={t_star}"
-        )
-    x = np.asarray(res.x)
-    if not final_system.satisfied(x, cfg.feasibility_tol):
-        raise NumericalFailure("refined point violates the constraint system")
+    x = _checked_point(res, final_system, tol, "utility refinement", t_star, problem)
 
     Q = MechanismMatrix(dist.k, matrix_from_vars(x, dist.k))
     objective = delta(induced_distribution(dist, Q))
@@ -320,6 +345,54 @@ def _bisect_design(dist: JointDistribution, cfg: SolverConfig) -> KaryDesignResu
         epsilon=cfg.epsilon,
         zeta=cfg.zeta,
     )
+
+
+def _dinkelbach_steps(
+    dist: JointDistribution,
+    cfg: SolverConfig,
+    static: LinearConstraintSystem,
+    x: np.ndarray,
+    problem: dict,
+) -> tuple[float, list[tuple[float, float]]]:
+    """Optimal disparity from the feasible point x, with each step's (t, s)."""
+    # the fairness rows at t are A0 x - b0 - t (db - dA x) <= 0: row r's
+    # signed disparity f_r(x) = A0 x - b0 against its denominator
+    # g_r(x) = db - dA x, the released group mass at its output times P(Y=1)
+    zero = fairness_rows_at(dist, 0.0)
+    one = fairness_rows_at(dist, 1.0)
+    dA = one.A - zero.A
+    db = one.b - zero.b
+    with_s = LinearConstraintSystem(
+        np.hstack([static.A, np.zeros((static.A.shape[0], 1))]),
+        static.b,
+        static.labels,
+    )
+    objective = np.zeros(with_s.num_vars)
+    objective[-1] = 1.0
+
+    def disparity(point: np.ndarray) -> tuple[float, np.ndarray]:
+        g = db - dA @ point
+        return float(np.max((zero.A @ point - zero.b) / g)), g
+
+    t, g = disparity(x)
+    trace: list[tuple[float, float]] = []
+    for _ in range(cfg.max_bisection_iters):
+        system = with_s.extended(
+            LinearConstraintSystem(
+                np.hstack([zero.A + t * dA, -g[:, None]]),
+                zero.b + t * db,
+                zero.labels,
+            )
+        )
+        res = _run_lp(system, objective)
+        xs = _checked_point(
+            res, system, cfg.feasibility_tol, "Dinkelbach step", t, problem
+        )
+        trace.append((t, float(xs[-1])))
+        if xs[-1] >= -0.1 * cfg.objective_tol:
+            break
+        t, g = disparity(xs[:-1])
+    return t, trace
 
 
 def min_achievable_error(dist: JointDistribution, epsilon: float) -> float:
@@ -334,266 +407,6 @@ def min_achievable_error(dist: JointDistribution, epsilon: float) -> float:
     # the utility row is the last one
     trimmed = LinearConstraintSystem(static.A[:-1], static.b[:-1], static.labels[:-1])
     res = _run_lp(trimmed, _utility_objective(dist))
-    if res.status != 0:
-        raise NumericalFailure(f"error minimization ended with status {res.status}")
+    problem = {"k": dist.k, "epsilon": epsilon, "zeta": None}
+    _checked_point(res, trimmed, cfg.feasibility_tol, "error minimization", None, problem)
     return float(res.fun)
-
-
-def _grid_feasible_mask(Q: np.ndarray, dist, ee: float, zeta: float, tol: float):
-    # direct checks on the full matrices, independent of the LP row encoding
-    k = dist.k
-    diag = Q[:, np.arange(k), np.arange(k)]
-    ok = np.all(diag >= -tol, axis=1)
-    ok &= np.all(diag[:, :, None] >= Q - tol, axis=(1, 2))
-    ok &= np.all(diag[:, None, :] >= Q - tol, axis=(1, 2))
-    colmax = Q.max(axis=1)
-    colmin = Q.min(axis=1)
-    ok &= np.all(colmax <= ee * colmin + tol, axis=1)
-    ok &= (diag @ dist.group_probs) >= 1.0 - zeta - tol
-    return ok
-
-
-def _grid_rows(axes: list[np.ndarray], i: int, k: int, ee: float, tol: float):
-    """Row i of every grid point, in grid order, that passes the row-local checks.
-
-    A grid point's row i depends only on the k-1 axes of that row's
-    off-diagonals, so the rows are enumerated once per pass.  The checks are
-    the parts of `_grid_feasible_mask` that read row i alone: a nonnegative
-    diagonal that dominates its row, and each entry against itself in the
-    privacy ratio.  The diagonal is computed as there, so comparisons match
-    bit for bit.
-    """
-    grids = np.meshgrid(*axes[i * (k - 1) : (i + 1) * (k - 1)], indexing="ij")
-    rows = np.zeros((grids[0].size, k))
-    rows[:, [j for j in range(k) if j != i]] = np.stack(
-        [g.ravel() for g in grids], axis=1
-    )
-    rows[:, i] = 1.0 - rows.sum(axis=1)
-    diag = rows[:, i]
-    ok = diag >= -tol
-    ok &= np.all(diag[:, None] >= rows - tol, axis=1)
-    ok &= np.all(rows <= ee * rows + tol, axis=1)
-    return rows[ok]
-
-
-def _grid_row_pair(ra: np.ndarray, rb: np.ndarray, a: int, b: int, ee, tol):
-    """Which pairs of rows a and b can sit in one feasible matrix.
-
-    These are the column checks of `_grid_feasible_mask` between two rows:
-    each column's diagonal dominates the other row's entry, and every
-    column's entries stay within a factor e^epsilon of each other.  The
-    column ratio check holds for a whole column exactly when it holds for
-    every ordered pair of its entries, since x -> ee * x + tol is monotone in
-    floating point, so checking pairs changes no outcome.
-    """
-    A = ra[:, None, :]
-    B = rb[None, :, :]
-    ok = B[:, :, b] >= A[:, :, b] - tol
-    ok &= A[:, :, a] >= B[:, :, a] - tol
-    ok &= np.all(A <= ee * B + tol, axis=2)
-    ok &= np.all(B <= ee * A + tol, axis=2)
-    return ok
-
-
-def _grid_best(
-    axes: list[np.ndarray], dist, ee: float, zeta: float, tol: float, chunk: int
-):
-    """Best feasible grid point of one pass, the first in grid order on ties.
-
-    Feasibility is `_grid_feasible_mask`, split by the rows each check reads:
-    row-local checks filter each row's candidates, pairwise column checks
-    give one boolean table per pair of rows, and only the grid points that
-    every table allows are built as matrices for the utility check and the
-    objective.  The grid is walked in blocks of the first row's candidates,
-    so the flat order, and with it the tie-break, is that of the full grid.
-    """
-    k = dist.k
-    rows = [_grid_rows(axes, i, k, ee, tol) for i in range(k)]
-    if any(r.shape[0] == 0 for r in rows):
-        return None, math.inf
-    pairs = {
-        (a, b): _grid_row_pair(rows[a], rows[b], a, b, ee, tol)
-        for a in range(k)
-        for b in range(a + 1, k)
-    }
-    tail = int(np.prod([r.shape[0] for r in rows[1:]]))
-    step = max(1, chunk // tail)
-    off = [(i, j) for i in range(k) for j in range(k) if i != j]
-    best_x, best_val = None, math.inf
-    for start in range(0, rows[0].shape[0], step):
-        stop = min(start + step, rows[0].shape[0])
-        valid = np.ones((stop - start,) + tuple(r.shape[0] for r in rows[1:]), bool)
-        for (a, b), table in pairs.items():
-            if a == 0:
-                table = table[start:stop]
-            shape = [1] * k
-            shape[a], shape[b] = table.shape
-            valid &= table.reshape(shape)
-        idx = np.nonzero(valid)
-        if idx[0].size == 0:
-            continue
-        Q = np.stack(
-            [rows[0][idx[0] + start]] + [rows[i][idx[i]] for i in range(1, k)], axis=1
-        )
-        diag = Q[:, np.arange(k), np.arange(k)]
-        Q = Q[(diag @ dist.group_probs) >= 1.0 - zeta - tol]
-        if Q.shape[0] == 0:
-            continue
-        vals = _grid_objective(Q, dist)
-        pick = int(np.argmin(vals))
-        if vals[pick] < best_val:
-            best_val = float(vals[pick])
-            best_x = np.array([Q[pick, i, j] for i, j in off])
-    return best_x, best_val
-
-
-def _grid_least_violation(
-    axes: list[np.ndarray], dist, ee: float, zeta: float, chunk: int
-):
-    """Least-violating grid point of one pass, the first in grid order on ties."""
-    k = dist.k
-    n = len(axes)
-    shape = tuple(ax.size for ax in axes)
-    total = int(np.prod(shape))
-    best_x, best_viol = None, math.inf
-    for start in range(0, total, chunk):
-        digits = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
-        cand = np.stack([axes[m][digits[m]] for m in range(n)], axis=1)
-        Q = np.zeros((cand.shape[0], k, k))
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    Q[:, i, j] = cand[:, var_index(i, j, k)]
-            Q[:, i, i] = 1.0 - Q[:, i].sum(axis=1)
-        viol = _violation_score(Q, dist, ee, zeta)
-        pick = int(np.argmin(viol))
-        if viol[pick] < best_viol:
-            best_viol = float(viol[pick])
-            best_x = cand[pick]
-    return best_x, best_viol
-
-
-def _grid_objective(Q: np.ndarray, dist) -> np.ndarray:
-    weights = dist.group_probs * dist.pos_rates
-    group_mass = np.einsum("i,nij->nj", dist.group_probs, Q)
-    pos_mass = np.einsum("i,nij->nj", weights, Q)
-    ratios = pos_mass / (dist.pos_marginal * group_mass)
-    return np.abs(ratios - 1.0).max(axis=1)
-
-
-def brute_force_opt_k(
-    dist: JointDistribution, cfg: SolverConfig, grid_steps: int, passes: int = 12
-) -> tuple[np.ndarray, float]:
-    """Zooming grid search over raw off-diagonal entries; oracle for the solver.
-
-    Evaluates every grid point of the off-diagonal box, keeps the best point
-    passing direct constraint checks, then shrinks the box around it and
-    repeats.  Zooming is sound here because the disparity objective has convex
-    sublevel sets on the (convex) feasible region.  While no feasible point
-    has been seen the box shrinks around the least-violating point instead.
-
-    The first pass joins the uniform grid with geometric points anchored at
-    exp(-epsilon): at tight budgets the feasible off-diagonals live in windows
-    of that scale near the privacy-tight boundary, which a uniform grid
-    straddles entirely until its cells are far finer than the zoom ever
-    reaches from a bad start.  Refinement passes likewise splice in the
-    privacy floor of each column diagonal, estimated from the current center,
-    so privacy-tight coordinates snap to their boundary instead of hoping a
-    uniform cell lands on it.  After the first descent the whole zoom runs
-    once more from a medium-width box around the incumbent: floor anchors
-    computed from a good center can pull coordinates the first descent
-    committed wrongly while its center was still poor.  Extra candidate
-    values never cost soundness: every point still has to pass the direct
-    constraint checks.
-    """
-    k = dist.k
-    n = k * (k - 1)
-    if k > 3:
-        raise TooLarge(f"grid oracle supports k <= 3, got k={k}")
-    if grid_steps > 25:
-        raise TooLarge(f"grid oracle supports at most 25 steps, got {grid_steps}")
-    if grid_steps < 2:
-        raise ValueError("grid_steps must be at least 2")
-    if passes < 1:
-        raise ValueError("passes must be at least 1")
-
-    ee = math.exp(cfg.epsilon)
-    tol = 1e-9
-    chunk = 200_000
-    # never shrink past two grid cells of margin around the zoom center, so a
-    # best point displaced by constraint filtering cannot push the true
-    # optimum outside the next box
-    shrink = max(0.5, 4.0 / (grid_steps - 1))
-    seed_axis = np.unique(
-        np.concatenate(
-            [
-                np.linspace(0.0, 1.0, grid_steps),
-                np.geomspace(max(1.0 / ee / 2.0, 1e-6), 1.0, 7),
-            ]
-        )
-    )
-    best_x = None
-    best_val = math.inf
-    fallback_x = None
-    fallback_viol = math.inf
-    center = None
-    for descent in range(2):
-        if descent == 0:
-            lo = np.zeros(n)
-            hi = np.ones(n)
-        else:
-            if best_x is None:
-                break
-            center = best_x
-            lo = np.clip(center - 0.175, 0.0, 1.0)
-            hi = np.clip(center + 0.175, 0.0, 1.0)
-        for p in range(passes):
-            if descent == 0 and p == 0:
-                axes = [seed_axis for _ in range(n)]
-            else:
-                axes = [np.linspace(lo[m], hi[m], grid_steps) for m in range(n)]
-                diag = np.array(
-                    [
-                        1.0
-                        - sum(
-                            center[var_index(j, c, k)] for c in range(k) if c != j
-                        )
-                        for j in range(k)
-                    ]
-                )
-                for m in range(n):
-                    r = m % (k - 1)
-                    j = r if r < m // (k - 1) else r + 1
-                    extra = np.array([diag[j] / ee, diag[j], center[m], 1.0 / k])
-                    ax = np.concatenate([axes[m], extra])
-                    axes[m] = np.unique(ax[(ax >= lo[m]) & (ax <= hi[m])])
-            pass_best_x, pass_best_val = _grid_best(
-                axes, dist, ee, cfg.zeta, tol, chunk
-            )
-            if pass_best_x is None and best_x is None:
-                x, viol = _grid_least_violation(axes, dist, ee, cfg.zeta, chunk)
-                if viol < fallback_viol:
-                    fallback_viol = viol
-                    fallback_x = x
-            if pass_best_val < best_val:
-                best_val = pass_best_val
-                best_x = pass_best_x
-            center = best_x if best_x is not None else fallback_x
-            width = (hi - lo) * shrink
-            lo = np.clip(center - width / 2.0, 0.0, 1.0)
-            hi = np.clip(center + width / 2.0, 0.0, 1.0)
-
-    if best_x is None:
-        raise InfeasibleBudget(cfg.epsilon, cfg.zeta)
-    return matrix_from_vars(best_x, k), best_val
-
-
-def _violation_score(Q: np.ndarray, dist, ee: float, zeta: float) -> np.ndarray:
-    k = dist.k
-    diag = Q[:, np.arange(k), np.arange(k)]
-    score = np.clip(-diag, 0.0, None).sum(axis=1)
-    score += np.clip(Q - diag[:, :, None], 0.0, None).sum(axis=(1, 2))
-    score += np.clip(Q - diag[:, None, :], 0.0, None).sum(axis=(1, 2))
-    score += np.clip(Q.max(axis=1) - ee * Q.min(axis=1), 0.0, None).sum(axis=1)
-    score += np.clip(1.0 - zeta - diag @ dist.group_probs, 0.0, None)
-    return score

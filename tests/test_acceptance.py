@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from fairldp.binary_design import boundary_oracle, opt_binary
+from fairldp.binary_design import opt_binary
 from fairldp.distribution import JointDistribution, delta, delta_prime
 from fairldp.evaluation import TrainConfig
-from fairldp.kary_design import SolverConfig, brute_force_opt_k, solve_opt_k
+from fairldp.kary_design import SolverConfig, solve_opt_k
 from fairldp.mechanisms import (
     grr_matrix,
     induced_distribution,
@@ -28,6 +28,7 @@ from fairldp.mechanisms import (
 from fairldp.pipeline import Mechanism, RunConfig, SplitConfig, cmd_evaluate, render_json
 from fairldp.dataset import ColumnsConfig, export_csv
 from fairldp.synthetic import generate_planted
+from oracles import boundary_oracle, brute_force_opt_k
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -8,12 +8,12 @@ import pytest
 from fairldp.binary_design import (
     BinaryDesignResult,
     BranchCase,
-    boundary_oracle,
     objective_ratio,
     opt_binary,
 )
 from fairldp.distribution import JointDistribution, delta_prime
 from fairldp.errors import InvalidEpsilon, NotBinary, ZeroBaseUnfairness
+from oracles import boundary_oracle
 from fairldp.mechanisms import (
     BinaryMechanism,
     induced_distribution,

@@ -22,7 +22,6 @@ from fairldp.kary_design import (
     LinearConstraintSystem,
     SolverConfig,
     assemble_constraints,
-    brute_force_opt_k,
     fairness_rows_at,
     lp_feasible,
     matrix_from_vars,
@@ -36,6 +35,13 @@ from fairldp.mechanisms import (
     induced_distribution,
     matrix_of_binary,
     verify_ldp,
+)
+from oracles import (
+    _grid_best,
+    _grid_feasible_mask,
+    _grid_objective,
+    all_entries_feasible,
+    brute_force_opt_k,
 )
 
 FIXTURE_DIST = ([0.5, 0.3, 0.2], [0.2, 0.5, 0.8])
@@ -403,6 +409,17 @@ class TestLpFeasible:
                 assert isinstance(lp_feasible(system), FeasiblePoint)
 
 
+def tight_instances():
+    """The fixture and tight random budgets: designs that take Dinkelbach steps."""
+    out = [(fixture_dist(), SolverConfig(1.0, 0.55))]
+    rng = np.random.default_rng(29)
+    for k, eps in ((3, 0.5), (4, 2.0), (5, 1.0), (6, 0.25)):
+        dist = random_dist(rng, k)
+        floor = min_achievable_error(dist, eps)
+        out.append((dist, SolverConfig(eps, floor + 0.02 * (1.0 - floor))))
+    return out
+
+
 class TestSolveOptK:
     def test_fixture_budget_below_error_floor(self):
         with pytest.raises(InfeasibleBudget) as err:
@@ -455,19 +472,57 @@ class TestSolveOptK:
             )
             assert min(res.certificate.slacks.values()) >= -1e-9
 
-    def test_objective_inside_final_interval(self):
-        res = solve_opt_k(fixture_dist(), SolverConfig(1.0, 0.55))
-        lo, hi = res.certificate.iterations[-1]
-        assert lo - 1e-7 <= res.objective <= hi + 1e-7
+    def test_dinkelbach_targets_strictly_decrease(self):
+        for dist, cfg in tight_instances():
+            trace = solve_opt_k(dist, cfg).certificate.iterations
+            assert len(trace) > 1
+            for (t1, _), (t2, _) in zip(trace, trace[1:]):
+                assert t2 < t1
 
-    def test_bisection_trace_is_nested(self):
-        res = solve_opt_k(fixture_dist(), SolverConfig(1.0, 0.55))
-        trace = res.certificate.iterations
-        assert len(trace) > 1
-        for (lo1, hi1), (lo2, hi2) in zip(trace, trace[1:]):
-            assert lo2 >= lo1 - 1e-15
-            assert hi2 <= hi1 + 1e-15
-            assert lo2 <= hi2
+    def test_dinkelbach_stops_once_no_point_beats_t(self):
+        for dist, cfg in tight_instances():
+            res = solve_opt_k(dist, cfg)
+            trace = res.certificate.iterations
+            t_last, s_last = trace[-1]
+            assert s_last >= -0.1 * cfg.objective_tol
+            assert all(s < -0.1 * cfg.objective_tol for _, s in trace[:-1])
+            assert res.objective <= t_last + 1e-9
+
+    def test_objective_not_beaten_by_objective_tol(self):
+        for dist, cfg in tight_instances():
+            res = solve_opt_k(dist, cfg)
+            t = res.objective
+            assert not all_entries_feasible(dist, cfg.epsilon, cfg.zeta, t - cfg.objective_tol)
+            assert all_entries_feasible(dist, cfg.epsilon, cfg.zeta, t + cfg.objective_tol)
+
+    def test_lp_count_matches_certificate(self, monkeypatch):
+        calls = []
+        solve = kary_design.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(kary_design, "linprog", counted)
+        fair = JointDistribution.from_rates([0.5, 0.3, 0.2], [0.4, 0.4, 0.4])
+        cases = tight_instances() + [(fair, SolverConfig(1.0, 0.6))]
+        for dist, cfg in cases:
+            calls.clear()
+            trace = solve_opt_k(dist, cfg).certificate.iterations
+            if trace == [(0.0, 0.0)]:
+                assert len(calls) == 3
+            else:
+                assert len(calls) == 3 + len(trace)
+        assert trace == [(0.0, 0.0)]
+
+    def test_step_cap_keeps_a_feasible_design(self):
+        dist, cfg = tight_instances()[0]
+        capped = SolverConfig(cfg.epsilon, cfg.zeta, max_bisection_iters=1)
+        res = solve_opt_k(dist, capped)
+        (t, s), = res.certificate.iterations
+        assert s < -0.1 * cfg.objective_tol
+        assert res.objective < t
+        assert min(res.certificate.slacks.values()) >= -1e-9
 
     def test_deterministic(self):
         cfg = SolverConfig(1.0, 0.55)
@@ -520,6 +575,131 @@ class TestSolveOptK:
             for value in tb.tb_frame.f_locals.values():
                 assert not isinstance(value, LinearConstraintSystem)
             tb = tb.tb_next
+
+
+    @pytest.mark.parametrize(
+        "call, stage",
+        [
+            (1, "feasibility solve"),
+            (2, "feasibility solve"),
+            (3, "Dinkelbach step"),
+            (-1, "utility refinement"),
+        ],
+    )
+    def test_failure_says_where_it_failed(self, monkeypatch, call, stage):
+        dist, cfg = fixture_dist(), SolverConfig(1.0, 0.55)
+        trace = solve_opt_k(dist, cfg).certificate.iterations
+        fail_at = call if call > 0 else 3 + len(trace)
+        target = {1: None, 2: 0.0, 3: trace[0][0], -1: trace[-1][0]}[call]
+        solve = kary_design.linprog
+        calls = []
+
+        def status_4_once(c, **kw):
+            res = solve(c, **kw)
+            calls.append(1)
+            if len(calls) == fail_at:
+                res.status, res.message = 4, "forced"
+            return res
+
+        monkeypatch.setattr(kary_design, "linprog", status_4_once)
+        with pytest.raises(NumericalFailure, match="ended with status 4") as err:
+            solve_opt_k(dist, cfg)
+        fields = err.value.details()
+        assert fields.pop("t", None) == target
+        assert fields == {
+            "stage": stage,
+            "status": 4,
+            "message": "forced",
+            "k": 3,
+            "epsilon": 1.0,
+            "zeta": 0.55,
+        }
+
+    def test_violating_point_is_a_failure(self, monkeypatch):
+        solve = kary_design.linprog
+
+        def shifted(c, **kw):
+            res = solve(c, **kw)
+            # every row-mass bound breaks: k - 1 entries above 1 each
+            res.x = res.x + 1.0
+            return res
+
+        monkeypatch.setattr(kary_design, "linprog", shifted)
+        with pytest.raises(NumericalFailure, match="violating its own system") as err:
+            solve_opt_k(fixture_dist(), SolverConfig(1.0, 0.55))
+        assert err.value.stage == "feasibility solve"
+        assert err.value.status == 0
+
+
+def reported_fault_instances():
+    """Valid instances that ended in NumericalFailure before row equilibration.
+
+    A k=12 draw and two design pool draws: status 4 in a feasibility solve
+    for the first two, status 2 in the utility refinement for the third.
+    Each is designed at a tight error budget, 2% of the way from the
+    minimum achievable error to 1.
+    """
+    rng = np.random.default_rng(112)
+    for _ in range(9):
+        eps = float(rng.choice([0.5, 1.0, 2.0]))
+        gp = rng.dirichlet(np.ones(12) * 2)
+        pr = rng.uniform(0.1, 0.9, 12)
+    cases = {"k12_status4": (JointDistribution.from_rates(gp, pr), eps)}
+    for name, k, eps, key in (
+        ("k8_eps2_status4", 8, 2.0, [20251117, 8, 3, 0, 16]),
+        ("k5_eps0.25_refinement_status2", 5, 0.25, [20251117, 5, 0, 0, 14]),
+    ):
+        rng = np.random.default_rng(key)
+        gp = rng.dirichlet(np.ones(k) * 2)
+        pr = rng.uniform(0.1, 0.9, k)
+        cases[name] = (JointDistribution.from_rates(gp, pr), eps)
+    return cases
+
+
+FAULTS = reported_fault_instances()
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_reported_solver_fault_designs(name):
+    dist, eps = FAULTS[name]
+    floor = min_achievable_error(dist, eps)
+    cfg = SolverConfig(eps, floor + 0.02 * (1.0 - floor))
+    res = solve_opt_k(dist, cfg)
+    Q = res.Q.entries
+    diag = np.diag(Q)
+    assert verify_ldp(res.Q, eps)
+    assert Q.sum(axis=1) == pytest.approx(np.ones(dist.k), abs=1e-9)
+    assert np.all(Q >= -1e-9)
+    assert np.all(diag[:, None] >= Q - 1e-9)
+    assert np.all(diag[None, :] >= Q - 1e-9)
+    assert float(diag @ dist.group_probs) >= 1.0 - cfg.zeta - 1e-9
+    assert res.objective == pytest.approx(
+        delta(induced_distribution(dist, res.Q)), abs=1e-12
+    )
+    assert min(res.certificate.slacks.values()) >= -1e-9
+    assert res.certificate.iterations[-1][1] >= -0.1 * cfg.objective_tol
+    t = res.objective - cfg.objective_tol
+    assert not all_entries_feasible(dist, eps, cfg.zeta, t)
+
+
+# LPs that failed inside the former bisection, as (instance, error budget,
+# disparity target).  Each target lies below the optimum.  Without row
+# equilibration HiGHS ended the first two with status 4 and called the
+# third feasible, whose utility refinement then ended with status 2.
+FAULT_LPS = [
+    ("k12_status4", 0.5488148026886623, 0.125),
+    ("k8_eps2_status4", 0.4272439879034653, 0.2895339481419419),
+    ("k5_eps0.25_refinement_status2", 0.7489543314965194, 0.022228240966796875),
+]
+
+
+@pytest.mark.parametrize("name, zeta, t", FAULT_LPS)
+def test_equilibrated_rows_certify_the_failed_lps(name, zeta, t):
+    dist, eps = FAULTS[name]
+    cfg = SolverConfig(eps, zeta)
+    system = assemble_constraints(dist, cfg).extended(fairness_rows_at(dist, t))
+    assert isinstance(lp_feasible(system), Infeasible)
+    assert solve_opt_k(dist, cfg).objective > t
 
 
 class TestBruteForce:
@@ -581,13 +761,13 @@ class TestBruteForce:
                 Q[:, i, j] = grid[:, var_index(i, j, k)]
             for i in range(k):
                 Q[:, i, i] = 1.0 - Q[:, i].sum(axis=1)
-            ok = kary_design._grid_feasible_mask(Q, dist, ee, zeta, 1e-9)
+            ok = _grid_feasible_mask(Q, dist, ee, zeta, 1e-9)
             for chunk in (7, 100_000):
-                x, val = kary_design._grid_best(axes, dist, ee, zeta, 1e-9, chunk)
+                x, val = _grid_best(axes, dist, ee, zeta, 1e-9, chunk)
                 if not ok.any():
                     assert x is None and val == math.inf
                     continue
-                vals = kary_design._grid_objective(Q[ok], dist)
+                vals = _grid_objective(Q[ok], dist)
                 pick = int(np.argmin(vals))
                 assert val == float(vals[pick])
                 np.testing.assert_array_equal(x, grid[ok][pick])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fairldp import pipeline
+from fairldp import kary_design, pipeline
 from fairldp.cli import main
 from fairldp.dataset import ColumnsConfig, export_csv, ingest_csv
 from fairldp.distribution import delta, delta_prime, estimate_distribution
@@ -838,6 +838,32 @@ class TestCli:
         cfg = self.write_config(tmp_path, raw)
         assert main(["design", "--config", str(cfg)]) == 3
         assert "no feasible mechanism" in capsys.readouterr().err
+
+    def test_numerical_failure_prints_where(self, tmp_path, kary_fixture_csv, monkeypatch, capsys):
+        solve = kary_design.linprog
+
+        def refinement_fails(c, **kw):
+            res = solve(c, **kw)
+            # the utility refinement: an error objective over the 6 entries
+            if np.any(c) and len(c) == 6 and len(kw["b_ub"]) > 28:
+                res.status, res.message = 4, "forced"
+            return res
+
+        monkeypatch.setattr(kary_design, "linprog", refinement_fails)
+        raw = config_dict(kary_fixture_csv, mechanism="OptKary", zeta=0.55)
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["design", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: utility refinement ended with status 4 at t=")
+        assert err[1:] == [
+            "  stage: utility refinement",
+            f"  t: {err[0].rsplit('=', 1)[1]}",
+            "  status: 4",
+            "  message: forced",
+            "  k: 3",
+            "  epsilon: 1.0",
+            "  zeta: 0.55",
+        ]
 
     def test_data_error_exit(self, tmp_path, capsys):
         raw = config_dict(tmp_path / "absent.csv")
