@@ -102,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--out-csv", help="also write per-trial rows as CSV here"
     )
-    p_eval.add_argument(
-        "--parallel", action="store_true", help="run trials in a thread pool"
-    )
 
     p_sweep = sub.add_parser("sweep", help="evaluate across privacy budgets")
     _add_config_options(p_sweep)
@@ -119,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--out", help="write the sweep JSON here")
     p_sweep.add_argument("--out-csv", help="write the long-format table here")
-    p_sweep.add_argument(
-        "--parallel", action="store_true", help="run trials in a thread pool"
-    )
 
     p_verify = sub.add_parser(
         "verify", help="re-audit an existing design (and evaluate) report"
@@ -164,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "evaluate":
             payload = cmd_evaluate(
                 load_config(args.config, _overrides(args)),
-                parallel=args.parallel,
                 out_path=args.out,
             )
             if args.out_csv:
@@ -181,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
                 load_config(args.config, _overrides(args)),
                 _parse_float_list(args.epsilons, "epsilon"),
                 mechanisms=mechanisms,
-                parallel=args.parallel,
                 out_path=args.out,
             )
             if args.out_csv:

@@ -7,6 +7,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -178,50 +179,55 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return header, data
 
 
-def ingest_csv(path: str | Path, columns: ColumnsConfig) -> TabularDataset:
+def ingest_csv(
+    path: str | Path,
+    columns: ColumnsConfig,
+    *,
+    table: tuple[list[str], list[list[str]]] | None = None,
+) -> TabularDataset:
     """Load a CSV into a TabularDataset under the declared column roles.
 
     Sensitive literals map to codes by first appearance (or the explicit
     sensitive_order). Non-numeric feature columns are one-hot encoded with
     first-appearance category order. Lines starting with '#' are skipped so
     perturbed files re-ingest cleanly.
+
+    The rows are read once, from path or from a (header, rows) table the
+    caller already read from it, and parsed a column at a time. The dataset
+    keeps no reference to the table's row lists.
     """
-    header, data = _read_rows(path)
-    index = {name: i for i, name in enumerate(header)}
+    header, data = _read_rows(path) if table is None else table
+    cells = dict(zip(header, zip(*data)))
     feature_names = (
         [c for c in header if c not in (columns.sensitive, columns.label)]
         if columns.features == "auto"
         else list(columns.features)
     )
     for name in [columns.sensitive, columns.label, *feature_names]:
-        if name not in index:
+        if name not in cells:
             raise MissingColumn(name)
 
-    value_map: dict[str, int] = {}
-    if columns.sensitive_order is not None:
-        value_map = {lit: i for i, lit in enumerate(columns.sensitive_order)}
-    sensitive = []
-    s_col = index[columns.sensitive]
-    for r, row in enumerate(data):
-        lit = row[s_col]
+    s_cells = cells[columns.sensitive]
+    seen = dict.fromkeys(s_cells)
+    order = seen if columns.sensitive_order is None else columns.sensitive_order
+    value_map = {lit: i for i, lit in enumerate(order)}
+    # seen lists literals by first appearance, so its first bad literal
+    # holds the first bad row
+    for lit in seen:
         if lit == "":
-            raise UnparseableCell(r, columns.sensitive, "empty cell")
+            raise UnparseableCell(s_cells.index(lit), columns.sensitive, "empty cell")
         if lit not in value_map:
-            if columns.sensitive_order is not None:
-                raise UnparseableCell(
-                    r, columns.sensitive, f"literal {lit!r} not in declared ordering"
-                )
-            value_map[lit] = len(value_map)
-        sensitive.append(value_map[lit])
+            raise UnparseableCell(
+                s_cells.index(lit),
+                columns.sensitive,
+                f"literal {lit!r} not in declared ordering",
+            )
     k = len(value_map)
     if k < 2:
         raise UnparseableCell(0, columns.sensitive, "fewer than two sensitive values")
 
-    l_col = index[columns.label]
-    literals = []
-    for row in data:
-        if row[l_col] not in literals:
-            literals.append(row[l_col])
+    l_cells = cells[columns.label]
+    literals = list(dict.fromkeys(l_cells))
     others = [lit for lit in literals if lit != columns.positive_label]
     if len(others) > 1:
         raise NonBinaryLabel(
@@ -229,45 +235,77 @@ def ingest_csv(path: str | Path, columns: ColumnsConfig) -> TabularDataset:
             f"positive literal {columns.positive_label!r}"
         )
     negative = others[0] if others else ("0" if columns.positive_label != "0" else "neg")
-    labels = [1 if row[l_col] == columns.positive_label else 0 for row in data]
+    label_map = {lit: int(lit == columns.positive_label) for lit in literals}
 
     feature_columns: dict[str, np.ndarray] = {}
     for name in feature_names:
-        c = index[name]
-        raw = [row[c] for row in data]
-        numeric = True
-        values = np.empty(len(raw))
-        for r, cell in enumerate(raw):
-            if cell == "":
-                raise UnparseableCell(r, name, "empty cell")
-            try:
-                values[r] = float(cell)
-            except ValueError:
-                numeric = False
-                break
-        if numeric:
+        values = _numeric_column(name, cells[name])
+        if values is not None:
             feature_columns[name] = values
-        else:
-            cats = []
-            for cell in raw:
-                if cell not in cats:
-                    cats.append(cell)
-            for cat in cats:
-                feature_columns[f"{name}={cat}"] = np.array(
-                    [1.0 if cell == cat else 0.0 for cell in raw]
-                )
+            continue
+        cats = {cat: j for j, cat in enumerate(dict.fromkeys(cells[name]))}
+        onehot = np.equal.outer(np.arange(len(cats)), _codes(cats, cells[name]))
+        for cat, flags in zip(cats, onehot.astype(float)):
+            feature_columns[f"{name}={cat}"] = flags
 
     ordered = sorted(value_map.items(), key=lambda kv: kv[1])
     return TabularDataset(
         feature_columns=feature_columns,
-        sensitive=np.array(sensitive, dtype=int),
-        labels=np.array(labels, dtype=int),
+        sensitive=_codes(value_map, s_cells),
+        labels=_codes(label_map, l_cells),
         k=k,
         sensitive_name=columns.sensitive,
         sensitive_values=tuple(lit for lit, _ in ordered),
         label_values=(negative, columns.positive_label),
         provenance=Provenance(source=str(path), config_digest=columns.digest()),
     )
+
+
+def _codes(mapping: dict[str, int], column: tuple[str, ...]) -> np.ndarray:
+    return np.fromiter(map(mapping.__getitem__, column), dtype=int, count=len(column))
+
+
+def _numeric_column(name: str, column: tuple[str, ...]) -> np.ndarray | None:
+    """The column parsed as floats, or None when it is categorical.
+
+    An empty cell before the first non-numeric cell raises UnparseableCell;
+    after one it is a category like any other literal.
+    """
+    try:
+        return np.array(column, dtype=float)
+    except ValueError:
+        pass
+    for r, cell in enumerate(column):
+        if cell == "":
+            raise UnparseableCell(r, name, "empty cell")
+        try:
+            float(cell)
+        except ValueError:
+            return None
+    # np.array parses a str cell as float() does, so the scan returns or
+    # raises above; should the two ever differ, float() decides
+    return np.array([float(cell) for cell in column])
+
+
+def _write_rows(fh: TextIO, rows: list[list[str]]) -> None:
+    """Write rows byte for byte as csv.writer(fh, lineterminator="\\n") does.
+
+    A cell with no comma, quote or line break needs no quoting, so when no
+    cell holds one the rows go out joined in one piece, without csv's scan
+    of each cell; otherwise csv.writer writes them.
+    """
+    body = "\n".join(map(",".join, rows))
+    plain = (
+        body.count(",") == sum(map(len, rows)) - len(rows)
+        and body.count("\n") == len(rows) - 1
+        and '"' not in body
+        and "\r" not in body
+        and [""] not in rows  # csv writes a lone empty cell as ""
+    )
+    if plain:
+        fh.write(body + "\n")
+    else:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _format_number(v: float) -> str:

@@ -32,10 +32,6 @@ class InvalidEpsilon(ConfigError):
         super().__init__(f"privacy budget must be > 0, got {epsilon!r}")
 
 
-class TooLarge(ConfigError):
-    """A brute-force limit (alphabet size or grid resolution) was exceeded."""
-
-
 class EmptyGroup(DataError):
     """A sensitive group has no records."""
 

@@ -2,19 +2,15 @@
 
 Everything here is deterministic from (config, input files): trial t derives
 its seed as seed XOR t, the train/test split uses a salted stream so it never
-collides with the perturbation stream, JSON is always written with sorted
-keys, and parallel trial execution sorts results before aggregating so it is
-byte-identical to the serial path.
+collides with the perturbation stream, and JSON is always written with
+sorted keys.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -22,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .binary_design import opt_binary
-from .dataset import COMMENT_PREFIX, ColumnsConfig, _read_rows, ingest_csv
+from .dataset import (
+    COMMENT_PREFIX,
+    ColumnsConfig,
+    _read_rows,
+    _write_rows,
+    ingest_csv,
+)
 from .distribution import (
     JointDistribution,
     delta,
@@ -421,6 +423,20 @@ def _ss_from_payload(payload: dict) -> SsParams:
     return params
 
 
+def _read_report(path: str | Path, what: str) -> dict:
+    """A JSON report whose root is an object; anything else raises DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as err:
+        raise DataError(f"{what} is not valid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{what}'s JSON root is not an object")
+    return payload
+
+
 def _payload_hash(payload: dict) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
@@ -436,20 +452,15 @@ def cmd_perturb(
     unchanged.  A value-valued mechanism replaces each sensitive cell with
     the drawn literal; the subset mechanism replaces the column with k 0/1
     indicator columns.  The leading comment line records the seed and the
-    design-report hash so outputs are attributable.
+    design-report hash so outputs are attributable.  The input is read once:
+    ingest_csv parses the same rows that are then rewritten.
     """
-    try:
-        with open(mechanism_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"mechanism file not found: {mechanism_path}") from None
-    except json.JSONDecodeError as err:
-        raise DataError(f"mechanism file is not valid JSON: {err}") from None
+    payload = _read_report(mechanism_path, "mechanism file")
     mech = mechanism_from_payload(payload)
-    dataset = ingest_csv(config.data, config.columns)
+    header, rows = _read_rows(config.data)
+    dataset = ingest_csv(config.data, config.columns, table=(header, rows))
     result = perturb_dataset(dataset, mech, config.seed)
 
-    header, rows = _read_rows(config.data)
     sens_idx = header.index(config.columns.sensitive)
     stamp = f"{COMMENT_PREFIX} seed={config.seed} mechanism={_payload_hash(payload)}"
 
@@ -468,9 +479,7 @@ def cmd_perturb(
 
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(stamp + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_rows(fh, [header, *rows])
     return {
         "schema_version": SCHEMA_VERSION,
         "out": str(out_path),
@@ -509,7 +518,7 @@ def _summarize(rows: list[dict]) -> dict:
 
 
 def cmd_evaluate(
-    config: RunConfig, parallel: bool = False, out_path: str | Path | None = None
+    config: RunConfig, out_path: str | Path | None = None
 ) -> dict:
     """Run trials x (split, perturb train only, train, evaluate on raw test).
 
@@ -557,14 +566,7 @@ def cmd_evaluate(
             row[name] = None if math.isnan(value) else float(value)
         return row
 
-    trials = range(config.split.trials)
-    if parallel:
-        workers = min(os.cpu_count() or 1, config.split.trials)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_trial, trials))
-    else:
-        rows = [run_trial(t) for t in trials]
-    rows.sort(key=lambda row: row["trial"])
+    rows = [run_trial(t) for t in range(config.split.trials)]
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -593,7 +595,6 @@ def cmd_sweep(
     config: RunConfig,
     epsilons: list[float],
     mechanisms: list[Mechanism | str] | None = None,
-    parallel: bool = False,
     out_path: str | Path | None = None,
 ) -> dict:
     """Evaluate every (mechanism, epsilon) pair into one long-format table."""
@@ -618,7 +619,7 @@ def cmd_sweep(
     for mech in mech_list:
         for eps in epsilons:
             sub = replace(config, mechanism=mech, epsilon=float(eps))
-            report = cmd_evaluate(sub, parallel=parallel)
+            report = cmd_evaluate(sub)
             for metric in METRICS:
                 stats = report["summary"][metric]
                 rows.append(
@@ -658,27 +659,14 @@ def cmd_verify(
     design report from its own recorded distribution; for an evaluate report
     it recomputes the summary from the per-trial rows.
     """
-    try:
-        with open(design_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"design report not found: {design_path}") from None
-    except json.JSONDecodeError as err:
-        raise DataError(f"design report is not valid JSON: {err}") from None
-
+    payload = _read_report(design_path, "design report")
     try:
         checks = _verify_design(payload)
     except KeyError as missing:
         raise DataError(f"design report is missing {missing}") from None
 
     if report_path is not None:
-        try:
-            with open(report_path, encoding="utf-8") as fh:
-                report = json.load(fh)
-        except FileNotFoundError:
-            raise DataError(f"evaluate report not found: {report_path}") from None
-        except json.JSONDecodeError as err:
-            raise DataError(f"evaluate report is not valid JSON: {err}") from None
+        report = _read_report(report_path, "evaluate report")
         try:
             checks["summary"] = _verify_summary(report)
         except KeyError as missing:

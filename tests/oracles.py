@@ -18,8 +18,12 @@ from scipy.optimize import linprog
 
 from fairldp.binary_design import _ratio_core, _require_binary
 from fairldp.distribution import JointDistribution, delta_prime
-from fairldp.errors import InfeasibleBudget, InvalidEpsilon, TooLarge, ZeroBaseUnfairness
+from fairldp.errors import ConfigError, InfeasibleBudget, InvalidEpsilon, ZeroBaseUnfairness
 from fairldp.kary_design import SolverConfig, matrix_from_vars, var_index
+
+
+class TooLarge(ConfigError):
+    """A brute-force limit (alphabet size or grid resolution) was exceeded."""
 
 
 def boundary_oracle(

@@ -13,7 +13,6 @@ from fairldp.errors import (
     InfeasibleBudget,
     InvalidEpsilon,
     NumericalFailure,
-    TooLarge,
 )
 from fairldp import kary_design
 from fairldp.kary_design import (
@@ -37,6 +36,7 @@ from fairldp.mechanisms import (
     verify_ldp,
 )
 from oracles import (
+    TooLarge,
     _grid_best,
     _grid_feasible_mask,
     _grid_objective,

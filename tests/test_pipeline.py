@@ -1,13 +1,16 @@
 """Tests for run configuration, the five commands, and the CLI surface."""
 
+import builtins
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairldp import kary_design, pipeline
+from fairldp import kary_design
 from fairldp.cli import main
 from fairldp.dataset import ColumnsConfig, export_csv, ingest_csv
 from fairldp.distribution import delta, delta_prime, estimate_distribution
@@ -486,6 +489,20 @@ class TestCmdPerturb:
         with pytest.raises(DataError, match="not found"):
             cmd_perturb(cfg, tmp_path / "absent.json", tmp_path / "out.csv")
 
+    def test_reads_input_once(self, tmp_path, planted_csv, monkeypatch):
+        cfg, design = self.design_file(tmp_path, planted_csv)
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == Path(cfg.data):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        cmd_perturb(cfg, design, tmp_path / "pert.csv")
+        assert len(opened) == 1
+
 
 # sha256 of cmd_perturb's output on pinned_release_csv, recorded from a loop
 # that built one default_rng(seed ^ i) per record, the definition of each
@@ -584,29 +601,6 @@ class TestCmdEvaluate:
         cfg = base_config(planted_csv, split=SplitConfig(trials=4))
         payload = cmd_evaluate(cfg)
         assert [row["seed"] for row in payload["trials"]] == [7 ^ t for t in range(4)]
-
-    def test_serial_parallel_identical(self, planted_csv):
-        cfg = base_config(planted_csv, split=SplitConfig(trials=4))
-        serial = cmd_evaluate(cfg, parallel=False)
-        parallel = cmd_evaluate(cfg, parallel=True)
-        assert render_json(serial) == render_json(parallel)
-
-    @pytest.mark.parametrize("cores, trials, workers", [(2, 4, 2), (None, 4, 1), (16, 3, 3)])
-    def test_parallel_workers_capped_by_cores(
-        self, monkeypatch, planted_csv, cores, trials, workers
-    ):
-        seen = []
-
-        class SpyExecutor(pipeline.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SpyExecutor)
-        cfg = base_config(planted_csv, split=SplitConfig(trials=trials))
-        cmd_evaluate(cfg, parallel=True)
-        assert seen == [workers]
 
     def test_repeated_runs_byte_identical(self, tmp_path, planted_csv):
         cfg = base_config(planted_csv)
@@ -936,6 +930,29 @@ class TestCli:
             assert captured.err.startswith("error: design report")
         assert not out.exists()
 
+    @pytest.mark.parametrize("root", [[1, 2], "x", 3, None])
+    def test_non_object_design_root_exit(self, tmp_path, planted_csv, capsys, root):
+        cfg = self.write_config(tmp_path, config_dict(planted_csv))
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(root), encoding="utf-8")
+        out = tmp_path / "pert.csv"
+        perturb = ["perturb", "--config", str(cfg), "--mechanism-file", str(design)]
+        for command in (["verify", str(design)], [*perturb, "--out", str(out)]):
+            assert main(command) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "JSON root is not an object" in captured.err
+        assert not out.exists()
+
+    def test_non_object_evaluate_report_exit(self, tmp_path, planted_csv, capsys):
+        cfg = self.write_config(tmp_path, config_dict(planted_csv))
+        design = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg), "--out", str(design)]) == 0
+        report = tmp_path / "eval.json"
+        report.write_text("[]", encoding="utf-8")
+        assert main(["verify", str(design), str(report)]) == 4
+        assert "evaluate report's JSON root is not an object" in capsys.readouterr().err
+
     def test_rr_on_three_groups_is_data_error(self, tmp_path, tri_csv):
         cfg = self.write_config(tmp_path, config_dict(tri_csv, mechanism="RR"))
         assert main(["design", "--config", str(cfg)]) == 4
@@ -975,7 +992,7 @@ class TestCli:
         assert json.loads(captured.out)["ok"] is False
         assert "failed" in captured.err
 
-    def test_evaluate_with_csv_and_parallel(self, tmp_path, planted_csv, capsys):
+    def test_evaluate_with_csv(self, tmp_path, planted_csv, capsys):
         raw = config_dict(planted_csv)
         raw["split"]["trials"] = 2
         cfg = self.write_config(tmp_path, raw)
@@ -990,7 +1007,6 @@ class TestCli:
                 str(out),
                 "--out-csv",
                 str(out_csv),
-                "--parallel",
             ]
         )
         assert rc == 0
