@@ -6,7 +6,9 @@ Every constraint is linear in the off-diagonal mechanism entries, and the
 disparity is a max of ratios of affine functions with positive denominators,
 so a generalized Dinkelbach iteration (Dinkelbach 1967; Crouzeix, Ferland &
 Schaible 1985) finds the optimum with one LP per step.  Every LP goes to
-HiGHS with its rows equilibrated; results are checked against the unscaled
+HiGHS with its rows equilibrated, through the HiGHS bindings bundled with
+scipy (`scipy.optimize._highspy`, scipy >= 1.15) rather than through
+`scipy.optimize.linprog`'s wrapper; results are checked against the unscaled
 rows.
 """
 
@@ -16,7 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsDebugLevel,
+    HighsLp,
+    HighsModelStatus,
+    HighsOptions,
+    HighsStatus,
+    MatrixFormat,
+    _Highs,
+    kHighsInf,
+    simplex_constants,
+)
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from .distribution import JointDistribution, delta
 from .errors import (
@@ -28,10 +41,18 @@ from .errors import (
 )
 from .mechanisms import MechanismMatrix, induced_distribution
 
-LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+# the options linprog(method="highs") passes, with both tolerances at 1e-10
+HIGHS_OPTIONS = HighsOptions()
+HIGHS_OPTIONS.presolve = "on"
+HIGHS_OPTIONS.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+HIGHS_OPTIONS.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+HIGHS_OPTIONS.output_flag = False
+HIGHS_OPTIONS.log_to_console = False
+HIGHS_OPTIONS.primal_feasibility_tolerance = 1e-10
+HIGHS_OPTIONS.dual_feasibility_tolerance = 1e-10
+
+# linprog's default tol, as its result check widens it
+_SLACK_TOL = math.sqrt(1e-9) * 10
 
 
 @dataclass(frozen=True)
@@ -76,8 +97,8 @@ class LinearConstraintSystem:
             raise ValueError(
                 f"A {self.A.shape} and b {self.b.shape} do not match {m} labels"
             )
-        if not np.all(np.isfinite(self.b)):
-            raise ValueError("constraint bounds must be finite")
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+            raise ValueError("constraint coefficients and bounds must be finite")
 
     @property
     def num_vars(self) -> int:
@@ -240,20 +261,94 @@ def fairness_rows_at(dist: JointDistribution, t: float) -> LinearConstraintSyste
     )
 
 
+@dataclass
+class LpResult:
+    """One LP's outcome in `scipy.optimize.linprog`'s status codes.
+
+    status 0 optimal, 1 iteration or time limit, 2 infeasible, 3 unbounded,
+    4 numerical difficulty or any other HiGHS status; x and fun are None
+    unless HiGHS reported an optimum.
+    """
+
+    status: int
+    message: str
+    x: np.ndarray | None = None
+    fun: float | None = None
+
+
+def linprog(c: np.ndarray, *, A_ub: np.ndarray, b_ub: np.ndarray) -> LpResult:
+    """Minimize c x subject to A_ub x <= b_ub over free x, on a fresh HiGHS.
+
+    Gives what `scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub,
+    bounds=(None, None), method="highs", options=...)` gives with both
+    feasibility tolerances at 1e-10, without that wrapper's input cleaning,
+    option checks and result fields.  An optimum whose x or fun is NaN, or
+    whose slack falls below -sqrt(1e-9) * 10, is downgraded to status 4, as
+    linprog's own result check does.  Each call gets a new HiGHS instance:
+    one reused across calls could warm-start from the previous basis and
+    return a different optimal vertex.
+
+    The name and the keywords are linprog's on purpose: benchmark tracers
+    and tests replace `kary_design.linprog` by name and read `b_ub`.
+    """
+    num_row, num_col = A_ub.shape
+    # column-wise nonzeros; lists cross into HiGHS faster than arrays do
+    cols, rows = np.nonzero(A_ub.T)
+    lp = HighsLp()
+    lp.num_col_ = num_col
+    lp.num_row_ = num_row
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = [-kHighsInf] * num_col
+    lp.col_upper_ = [kHighsInf] * num_col
+    lp.row_lower_ = [-kHighsInf] * num_row
+    lp.row_upper_ = b_ub.tolist()
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = num_col
+    lp.a_matrix_.num_row_ = num_row
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(num_col + 1)).tolist()
+    lp.a_matrix_.index_ = rows.tolist()
+    lp.a_matrix_.value_ = A_ub.T[cols, rows].tolist()
+
+    highs = _Highs()
+    highs.passOptions(HIGHS_OPTIONS)
+    if highs.passModel(lp) == HighsStatus.kError:
+        model_status, ran = HighsModelStatus.kModelError, False
+    else:
+        ran = highs.run() != HighsStatus.kError
+        model_status = highs.getModelStatus()
+    message = highs.modelStatusToString(model_status)
+    x = fun = None
+    if ran and model_status == HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        fun = highs.getInfo().objective_function_value
+        slack = b_ub - np.array(solution.row_value)
+    elif ran:
+        primal = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
+        message = f"model_status is {message}; primal_status is {primal}"
+    status, message = _highs_to_scipy_status_message(model_status, message)
+    if status == 0 and (
+        x is None
+        or np.isnan(x).any()
+        or math.isnan(fun)
+        or np.isnan(slack).any()
+        or (slack < -_SLACK_TOL).any()
+    ):
+        status = 4
+        message = (
+            "The solution does not satisfy the constraints within the "
+            f"required tolerance of {_SLACK_TOL:.2E}."
+        )
+    return LpResult(status, message, x, fun)
+
+
 def _run_lp(system: LinearConstraintSystem, objective: np.ndarray):
     # equilibrate: every row scaled to a largest coefficient of 1, so HiGHS's
     # tolerances mean the same on the privacy rows (coefficients up to
     # e^epsilon) as on the fairness rows (coefficients of order 1/k)
     scale = np.abs(system.A).max(axis=1)
     scale[scale == 0.0] = 1.0
-    return linprog(
-        objective,
-        A_ub=system.A / scale[:, None],
-        b_ub=system.b / scale,
-        bounds=(None, None),
-        method="highs",
-        options=LP_OPTIONS,
-    )
+    return linprog(objective, A_ub=system.A / scale[:, None], b_ub=system.b / scale)
 
 
 def _checked_point(

@@ -202,13 +202,23 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(
             f'features must be "auto" or a list of column names, got {features!r}'
         )
+    order = cols.get("sensitive_order")
+    if order is not None and not (
+        isinstance(order, list)
+        and all(isinstance(v, str) and v for v in order)
+        and len(set(order)) == len(order)
+    ):
+        raise ConfigError(
+            "sensitive_order must be a list of distinct non-empty strings, "
+            f"got {order!r}"
+        )
     try:
         columns = ColumnsConfig(
             sensitive=cols["sensitive"],
             label=cols["label"],
             positive_label=str(cols["positive_label"]),
             features=features,
-            sensitive_order=cols.get("sensitive_order"),
+            sensitive_order=order,
         )
     except KeyError as missing:
         raise ConfigError(f"columns is missing {missing}") from None

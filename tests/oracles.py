@@ -7,6 +7,8 @@ k-ary design (k <= 3) by a zooming grid search over the raw matrix entries.
 package's constraint encoding, whether a compliant matrix reaches a given
 disparity.  None of them shares code with the solver it checks beyond
 `var_index`/`matrix_from_vars` and the binary objective formula.
+`scipy_linprog` solves one design LP through `scipy.optimize.linprog`, the
+wrapper the package's own HiGHS call replaces.
 """
 
 from __future__ import annotations
@@ -365,3 +367,22 @@ def all_entries_feasible(
     if res.status not in (0, 2):
         raise RuntimeError(f"all-entries LP ended with status {res.status}")
     return res.status == 0
+
+
+def scipy_linprog(c, *, A_ub, b_ub):
+    """`kary_design.linprog`'s LP through `scipy.optimize.linprog`'s HiGHS.
+
+    Free variables, both feasibility tolerances at 1e-10, as the design
+    solver asked of linprog before it called HiGHS itself.
+    """
+    return linprog(
+        c,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        bounds=(None, None),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )

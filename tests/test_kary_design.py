@@ -42,6 +42,7 @@ from oracles import (
     _grid_objective,
     all_entries_feasible,
     brute_force_opt_k,
+    scipy_linprog,
 )
 
 FIXTURE_DIST = ([0.5, 0.3, 0.2], [0.2, 0.5, 0.8])
@@ -629,6 +630,94 @@ class TestSolveOptK:
             solve_opt_k(fixture_dist(), SolverConfig(1.0, 0.55))
         assert err.value.stage == "feasibility solve"
         assert err.value.status == 0
+
+
+def design_lps(monkeypatch, dist, cfg):
+    """(c, A_ub, b_ub) of every LP that min_achievable_error and solve_opt_k
+    hand to HiGHS, equilibrated, in order."""
+    lps = []
+    solve = kary_design.linprog
+
+    def recording(c, **kw):
+        lps.append((c, kw["A_ub"], kw["b_ub"]))
+        return solve(c, **kw)
+
+    monkeypatch.setattr(kary_design, "linprog", recording)
+    min_achievable_error(dist, cfg.epsilon)
+    solve_opt_k(dist, cfg)
+    monkeypatch.undo()
+    return lps
+
+
+# tiny LPs that end in a non-optimal status, with scipy's status and HiGHS's
+TINY_FAILURES = {
+    "infeasible": (([0.0], [[1.0], [-1.0]], [0.3, -0.7]), 2, 8),
+    "unbounded": (([1.0], [[1.0]], [1.0]), 3, 10),
+    # a cost beyond HiGHS's infinite_cost: HiGHS stops with status Unknown
+    "infinite-cost": (([1e300, 0.0], [[1.0, 1.0]], [1.0]), 4, 15),
+}
+
+
+def tiny_lp(name):
+    (c, A, b), _, _ = TINY_FAILURES[name]
+    return np.array(c), np.array(A), np.array(b)
+
+
+class TestHighsCall:
+    def test_matches_scipy_linprog_on_design_lps(self, monkeypatch):
+        fair = JointDistribution.from_rates([0.5, 0.3, 0.2], [0.4, 0.4, 0.4])
+        loose = random_dist(np.random.default_rng(5), 5)
+        cases = tight_instances()[:4] + [
+            (fair, SolverConfig(1.0, 0.6)),
+            (loose, SolverConfig(2.0, 0.8)),
+        ]
+        statuses = Counter()
+        for dist, cfg in cases:
+            for c, A, b in design_lps(monkeypatch, dist, cfg):
+                ours = kary_design.linprog(c, A_ub=A, b_ub=b)
+                ref = scipy_linprog(c, A_ub=A, b_ub=b)
+                assert ours.status == ref.status
+                assert ours.message == ref.message
+                statuses[ours.status] += 1
+                if ref.status == 0:
+                    assert ours.x.tobytes() == ref.x.tobytes()
+                    assert ours.fun == ref.fun
+                else:
+                    assert ours.x is None and ours.fun is None
+        # optimal LPs of every stage, and infeasible t = 0 probes
+        assert statuses[0] > 3 * len(cases) and statuses[2] >= 4
+
+    @pytest.mark.parametrize("name", sorted(TINY_FAILURES))
+    def test_tiny_failures_match_scipy_linprog(self, name):
+        c, A, b = tiny_lp(name)
+        _, status, highs_status = TINY_FAILURES[name]
+        ours = kary_design.linprog(c, A_ub=A, b_ub=b)
+        ref = scipy_linprog(c, A_ub=A, b_ub=b)
+        assert ours.status == ref.status == status
+        assert ours.message == ref.message
+        assert f"(HiGHS Status {highs_status}: " in ours.message
+        assert ours.x is None and ref.x is None
+
+    @pytest.mark.parametrize("name", sorted(TINY_FAILURES))
+    def test_highs_failure_reaches_lp_feasible(self, monkeypatch, name):
+        c, A, b = tiny_lp(name)
+        _, status, highs_status = TINY_FAILURES[name]
+        real = kary_design.linprog(c, A_ub=A, b_ub=b)
+        # hand the real failure to the feasibility solve of another system
+        monkeypatch.setattr(kary_design, "linprog", lambda c, **kw: real)
+        system = LinearConstraintSystem(np.ones((1, 1)), np.ones(1), ("cap",))
+        if status == 2:
+            assert isinstance(lp_feasible(system), Infeasible)
+            return
+        with pytest.raises(NumericalFailure, match=f"status {status}") as err:
+            lp_feasible(system)
+        assert err.value.stage == "feasibility solve"
+        assert err.value.status == status
+        assert f"(HiGHS Status {highs_status}: " in err.value.message
+
+    def test_non_finite_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            LinearConstraintSystem(np.array([[np.nan]]), np.ones(1), ("cap",))
 
 
 def reported_fault_instances():

@@ -895,6 +895,30 @@ class TestCli:
         assert "row has 4 cells, header has 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "order",
+        [["a", "b", "a"], ["a", "", "b"], "ab", ["a", 1]],
+        ids=["repeated", "empty-string", "not-a-list", "not-a-string"],
+    )
+    def test_malformed_sensitive_order_exit(self, tmp_path, order, capsys):
+        data = tmp_path / "tri.csv"
+        data.write_text("x,group,label\n1.0,a,1\n2.0,b,0\n3.0,a,0\n", encoding="utf-8")
+        raw = config_dict(data)
+        raw["columns"]["sensitive_order"] = order
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert "sensitive_order must be a list" in capsys.readouterr().err
+
+    def test_sensitive_order_codes_groups(self, tmp_path, capsys):
+        data = tmp_path / "tri.csv"
+        data.write_text("x,group,label\n1.0,a,1\n2.0,b,0\n3.0,a,0\n", encoding="utf-8")
+        raw = config_dict(data)
+        raw["columns"]["sensitive_order"] = ["b", "a"]
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["design", "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dist"]["group_probs"] == pytest.approx([1 / 3, 2 / 3])
+
+    @pytest.mark.parametrize(
         "tamper",
         [
             pytest.param(lambda p: p["entries"][0].__setitem__(0, 1.05), id="row-sum"),
