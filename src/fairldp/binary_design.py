@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distribution import JointDistribution, delta_prime
-from .errors import InvalidEpsilon, NotBinary, ZeroBaseUnfairness
+from .errors import NotBinary, ZeroBaseUnfairness, check_epsilon
 from .mechanisms import BinaryMechanism
 
 TIE_ATOL = 1e-12
@@ -83,8 +83,7 @@ def opt_binary(dist: JointDistribution, epsilon: float) -> BinaryDesignResult:
     returned.
     """
     _require_binary(dist)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise InvalidEpsilon(epsilon)
+    check_epsilon(epsilon)
     r0, r1 = dist.pos_rates
     relabeled = bool(r0 > r1)
     p0, p1 = dist.group_probs

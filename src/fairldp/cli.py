@@ -12,7 +12,9 @@ from .errors import (
     NumericalFailure,
     SolverError,
 )
+from .evaluation import Calibration
 from .pipeline import (
+    OVERRIDES,
     cmd_design,
     cmd_evaluate,
     cmd_perturb,
@@ -43,7 +45,7 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--calibration",
-        choices=["fixed", "base_rate_match"],
+        choices=[c.value for c in Calibration],
         help="override: threshold calibration",
     )
     parser.add_argument(
@@ -61,18 +63,7 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    return {
-        "data": args.data,
-        "mechanism": args.mechanism,
-        "epsilon": args.epsilon,
-        "zeta": args.zeta,
-        "seed": args.seed,
-        "trials": args.trials,
-        "train_fraction": args.train_fraction,
-        "calibration": args.calibration,
-        "sensitive_as_feature": args.sensitive_as_feature,
-        "skip_undefined_groups": args.skip_undefined_groups,
-    }
+    return {key: value for key, value in vars(args).items() if key in OVERRIDES}
 
 
 def build_parser() -> argparse.ArgumentParser:

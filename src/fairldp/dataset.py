@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -14,14 +12,6 @@ import numpy as np
 from .errors import EmptyFile, MissingColumn, NonBinaryLabel, UnparseableCell
 
 COMMENT_PREFIX = "#"
-
-
-@dataclass(frozen=True)
-class Provenance:
-    """Where a dataset came from and under which ingestion settings."""
-
-    source: str
-    config_digest: str
 
 
 @dataclass(frozen=True)
@@ -38,19 +28,6 @@ class ColumnsConfig:
     positive_label: str
     features: list[str] | str = "auto"
     sensitive_order: list[str] | None = None
-
-    def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "sensitive": self.sensitive,
-                "label": self.label,
-                "positive_label": self.positive_label,
-                "features": self.features,
-                "sensitive_order": self.sensitive_order,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -75,7 +52,6 @@ class TabularDataset:
     sensitive_name: str = "sensitive"
     sensitive_values: tuple[str, ...] = ()
     label_values: tuple[str, str] = ("0", "1")
-    provenance: Provenance = field(default_factory=lambda: Provenance("memory", "-"))
     indicator_columns: None = None
 
     def __post_init__(self):
@@ -120,7 +96,6 @@ class TabularDataset:
             sensitive_name=self.sensitive_name,
             sensitive_values=self.sensitive_values,
             label_values=self.label_values,
-            provenance=self.provenance,
         )
 
 
@@ -140,7 +115,6 @@ class SubsetPerturbedDataset:
     sensitive_name: str
     sensitive_values: tuple[str, ...]
     label_values: tuple[str, str] = ("0", "1")
-    provenance: Provenance = field(default_factory=lambda: Provenance("memory", "-"))
 
     def __post_init__(self):
         labels = _frozen(np.asarray(self.labels, dtype=int))
@@ -257,7 +231,6 @@ def ingest_csv(
         sensitive_name=columns.sensitive,
         sensitive_values=tuple(lit for lit, _ in ordered),
         label_values=(negative, columns.positive_label),
-        provenance=Provenance(source=str(path), config_digest=columns.digest()),
     )
 
 

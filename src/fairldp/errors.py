@@ -7,6 +7,12 @@ FairLdpError so callers can catch the whole package with one clause.
 
 from __future__ import annotations
 
+import math
+import sys
+
+# e^epsilon overflows a double beyond ln(DBL_MAX), about 709.78
+MAX_EPSILON = math.log(sys.float_info.max)
+
 
 class FairLdpError(Exception):
     """Base class for all package-specific errors."""
@@ -25,11 +31,19 @@ class SolverError(FairLdpError):
 
 
 class InvalidEpsilon(ConfigError):
-    """Privacy budget must be strictly positive."""
+    """Privacy budget must be strictly positive, with e^epsilon finite."""
 
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
-        super().__init__(f"privacy budget must be > 0, got {epsilon!r}")
+        super().__init__(
+            f"privacy budget must lie in (0, {MAX_EPSILON:.2f}], got {epsilon!r}"
+        )
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise InvalidEpsilon unless 0 < epsilon <= MAX_EPSILON (NaN fails)."""
+    if not 0.0 < epsilon <= MAX_EPSILON:
+        raise InvalidEpsilon(epsilon)
 
 
 class EmptyGroup(DataError):

@@ -35,9 +35,9 @@ from .distribution import JointDistribution, delta
 from .errors import (
     ConfigError,
     InfeasibleBudget,
-    InvalidEpsilon,
     NumericalFailure,
     SolverError,
+    check_epsilon,
 )
 from .mechanisms import MechanismMatrix, induced_distribution
 
@@ -69,8 +69,7 @@ class SolverConfig:
     max_bisection_iters: int = 60
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
-            raise InvalidEpsilon(self.epsilon)
+        check_epsilon(self.epsilon)
         if not 0.0 <= self.zeta <= 1.0:
             raise ConfigError(f"zeta must lie in [0, 1], got {self.zeta}")
         if self.objective_tol <= 0.0 or self.feasibility_tol <= 0.0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import SubsetPerturbedDataset, TabularDataset
 from .distribution import JointDistribution
-from .errors import AlphabetMismatch, DegenerateOutput, InvalidEpsilon
+from .errors import AlphabetMismatch, DegenerateOutput, check_epsilon
 
 ENTRY_ATOL = 1e-9
 
@@ -188,7 +188,6 @@ class SsParams:
             sensitive_name=dataset.sensitive_name,
             sensitive_values=dataset.sensitive_values,
             label_values=dataset.label_values,
-            provenance=dataset.provenance,
         )
 
 
@@ -198,8 +197,11 @@ def ss_privacy_level(params: SsParams) -> float:
     The worst report-probability ratio is attained on a subset containing
     one truth and excluding the other: p_true / C(k-1, omega-1) against
     (1 - p_true) / C(k-1, omega), which simplifies to
-    p_true (k - omega) / ((1 - p_true) omega).
+    p_true (k - omega) / ((1 - p_true) omega).  At a large epsilon p_true
+    rounds to 1 and the level is inf.
     """
+    if params.p_true == 1.0:
+        return math.inf
     ratio = (
         params.p_true
         * (params.k - params.omega)
@@ -212,8 +214,7 @@ def grr_matrix(k: int, epsilon: float) -> MechanismMatrix:
     """k-ary randomized response: keep the truth with probability
     e^eps / (e^eps + k - 1), otherwise report a uniform other value.
     """
-    if epsilon <= 0:
-        raise InvalidEpsilon(epsilon)
+    check_epsilon(epsilon)
     if k < 2:
         raise ValueError(f"need k >= 2, got k = {k}")
     e = math.exp(epsilon)
@@ -226,8 +227,7 @@ def grr_matrix(k: int, epsilon: float) -> MechanismMatrix:
 
 def rr_mechanism(epsilon: float) -> BinaryMechanism:
     """Binary randomized response: p = q = e^eps / (e^eps + 1)."""
-    if epsilon <= 0:
-        raise InvalidEpsilon(epsilon)
+    check_epsilon(epsilon)
     e = math.exp(epsilon)
     keep = e / (e + 1.0)
     return BinaryMechanism(p=keep, q=keep)
@@ -239,8 +239,7 @@ def ss_params(k: int, epsilon: float) -> SsParams:
     omega = round(k / (e^eps + 1)), rounding half away from zero and clamped
     to [1, k - 1]; p_true = omega * e^eps / (omega * e^eps + k - omega).
     """
-    if epsilon <= 0:
-        raise InvalidEpsilon(epsilon)
+    check_epsilon(epsilon)
     if k < 2:
         raise ValueError(f"need k >= 2, got k = {k}")
     e = math.exp(epsilon)
@@ -299,8 +298,7 @@ class LdpAudit:
 
 def verify_ldp(Q: MechanismMatrix, epsilon: float, tol: float = 1e-9) -> LdpAudit:
     """Check the privacy inequality q_ij <= e^eps * q_i'j + tol for all i, i', j."""
-    if epsilon <= 0:
-        raise InvalidEpsilon(epsilon)
+    check_epsilon(epsilon)
     e = math.exp(epsilon)
     q = Q.entries
     ok = True

@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .errors import (
     InvalidEpsilon,
     NotBinary,
     NumericalFailure,
+    check_epsilon,
 )
 from .evaluation import Calibration, TrainConfig, evaluate, train_logistic
 from .kary_design import SolverConfig, min_achievable_error, solve_opt_k
@@ -81,23 +84,27 @@ class SplitConfig:
 
 @dataclass(frozen=True)
 class EvalSettings:
-    calibration: str = "base_rate_match"
+    calibration: str = Calibration.BASE_RATE_MATCH.value
     sensitive_as_feature: bool = True
     skip_undefined_groups: bool = False
 
     def __post_init__(self):
-        if self.calibration not in ("fixed", "base_rate_match"):
+        if self.calibration not in [c.value for c in Calibration]:
             raise ConfigError(f"unknown calibration {self.calibration!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs; one JSON file pins every output byte."""
+    """Everything a run needs; one JSON file pins every output byte.
+
+    The fields are the JSON config's keys and their defaults its defaults;
+    columns, split and eval are nested objects.
+    """
 
     data: str
     columns: ColumnsConfig
     mechanism: Mechanism
-    seed: int
+    seed: int = 0
     epsilon: float | None = None
     zeta: float | None = None
     split: SplitConfig = field(default_factory=SplitConfig)
@@ -109,8 +116,7 @@ class RunConfig:
         if self.mechanism is not Mechanism.NON_PRIVATE:
             if self.epsilon is None:
                 raise ConfigError(f"{self.mechanism.value} requires epsilon")
-            if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
-                raise InvalidEpsilon(self.epsilon)
+            check_epsilon(self.epsilon)
         if self.mechanism is Mechanism.OPT_KARY:
             if self.zeta is None:
                 raise ConfigError("OptKary requires zeta (the error budget)")
@@ -118,45 +124,24 @@ class RunConfig:
                 raise ConfigError(f"zeta must lie in [0, 1], got {self.zeta}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "columns": {
-                "sensitive": self.columns.sensitive,
-                "label": self.columns.label,
-                "positive_label": self.columns.positive_label,
-                "features": self.columns.features,
-                "sensitive_order": self.columns.sensitive_order,
-            },
-            "mechanism": self.mechanism.value,
-            "epsilon": self.epsilon,
-            "zeta": self.zeta,
-            "seed": self.seed,
-            "split": {
-                "train_fraction": self.split.train_fraction,
-                "trials": self.split.trials,
-            },
-            "eval": {
-                "calibration": self.eval.calibration,
-                "sensitive_as_feature": self.eval.sensitive_as_feature,
-                "skip_undefined_groups": self.eval.skip_undefined_groups,
-            },
-        }
+        return {**asdict(self), "mechanism": self.mechanism.value}
 
 
-_TOP_KEYS = {"data", "columns", "mechanism", "epsilon", "zeta", "seed", "split", "eval"}
-_COLUMNS_KEYS = {"sensitive", "label", "positive_label", "features", "sensitive_order"}
-_SPLIT_KEYS = {"train_fraction", "trials"}
-_EVAL_KEYS = {"calibration", "sensitive_as_feature", "skip_undefined_groups"}
-
-
-def _section(raw: dict, name: str, known: set[str]) -> dict:
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be an object")
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return section
+# RunConfig's fields that hold a nested object, with its dataclass
+_SECTIONS = {
+    name: hint for name, hint in get_type_hints(RunConfig).items() if is_dataclass(hint)
+}
+# the config keys a command-line flag may set, each with its section (None at
+# the top level): every field but the column roles
+OVERRIDES: dict[str, str | None] = {
+    **{f.name: None for f in fields(RunConfig) if f.name not in _SECTIONS},
+    **{
+        f.name: section
+        for section, cls in _SECTIONS.items()
+        if cls is not ColumnsConfig
+        for f in fields(cls)
+    },
+}
 
 
 def _number(name: str, value) -> float:
@@ -181,85 +166,104 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _flag(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
+def _expect(ok: bool, name: str, value, what: str):
+    """value if ok; otherwise ConfigError: name must be what."""
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
     return value
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("data", "columns", "mechanism"):
-        if key not in raw:
-            raise ConfigError(f"config is missing {key!r}")
-    cols = _section(raw, "columns", _COLUMNS_KEYS)
-    features = cols.get("features", "auto")
-    if features != "auto" and not (
-        isinstance(features, list) and all(isinstance(f, str) for f in features)
-    ):
-        raise ConfigError(
-            f'features must be "auto" or a list of column names, got {features!r}'
-        )
-    order = cols.get("sensitive_order")
-    if order is not None and not (
-        isinstance(order, list)
-        and all(isinstance(v, str) and v for v in order)
-        and len(set(order)) == len(order)
-    ):
-        raise ConfigError(
-            "sensitive_order must be a list of distinct non-empty strings, "
-            f"got {order!r}"
-        )
+def _flag(name: str, value) -> bool:
+    return _expect(isinstance(value, bool), name, value, "true or false")
+
+
+def _string(name: str, value) -> str:
+    return _expect(isinstance(value, str), name, value, "a string")
+
+
+def _literal(name: str, value) -> str:
+    """A cell literal: a string, or a number as str() writes it."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = number or isinstance(value, str)
+    return str(_expect(ok, name, value, "a string or a number"))
+
+
+def _features(name: str, value) -> list[str] | str:
+    names = isinstance(value, list) and all(isinstance(f, str) for f in value)
+    what = '"auto" or a list of column names'
+    return _expect(names or value == "auto", name, value, what)
+
+
+def _order(name: str, value) -> list[str]:
+    ok = (
+        isinstance(value, list)
+        and all(isinstance(v, str) and v for v in value)
+        and len(set(value)) == len(value)
+    )
+    return _expect(ok, name, value, "a list of distinct non-empty strings")
+
+
+def _mechanism(name: str, value) -> Mechanism:
     try:
-        columns = ColumnsConfig(
-            sensitive=cols["sensitive"],
-            label=cols["label"],
-            positive_label=str(cols["positive_label"]),
-            features=features,
-            sensitive_order=order,
-        )
-    except KeyError as missing:
-        raise ConfigError(f"columns is missing {missing}") from None
-    try:
-        mechanism = Mechanism(raw["mechanism"])
+        return Mechanism(value)
     except ValueError:
         names = [m.value for m in Mechanism]
-        raise ConfigError(
-            f"unknown mechanism {raw['mechanism']!r}; expected one of {names}"
-        ) from None
-    split_raw = _section(raw, "split", _SPLIT_KEYS)
-    eval_raw = _section(raw, "eval", _EVAL_KEYS)
-    epsilon = raw.get("epsilon")
-    zeta = raw.get("zeta")
-    return RunConfig(
-        data=str(raw["data"]),
-        columns=columns,
-        mechanism=mechanism,
-        seed=_integer("seed", raw.get("seed", 0)),
-        epsilon=None if epsilon is None else _number("epsilon", epsilon),
-        zeta=None if zeta is None else _number("zeta", zeta),
-        split=SplitConfig(
-            train_fraction=_number(
-                "train_fraction", split_raw.get("train_fraction", 0.75)
-            ),
-            trials=_integer("trials", split_raw.get("trials", 20)),
-        ),
-        eval=EvalSettings(
-            calibration=eval_raw.get("calibration", "base_rate_match"),
-            sensitive_as_feature=_flag(
-                "sensitive_as_feature", eval_raw.get("sensitive_as_feature", True)
-            ),
-            skip_undefined_groups=_flag(
-                "skip_undefined_groups", eval_raw.get("skip_undefined_groups", False)
-            ),
-        ),
-    )
+        raise ConfigError(f"unknown {name} {value!r}; expected one of {names}") from None
+
+
+def _build(cls, where: str, raw):
+    """A config dataclass from its JSON object, one key per field.
+
+    An absent key takes the field's default; null stands for a None default.
+    Fields without a parser here are checked by the dataclass itself.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where} is missing {f.name!r}")
+            continue
+        value = raw[f.name]
+        parse = _PARSERS.get(f.name)
+        if parse is not None and not (value is None and f.default is None):
+            value = parse(f.name, value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+_PARSERS = {
+    "data": _string,
+    "mechanism": _mechanism,
+    "seed": _integer,
+    "epsilon": _number,
+    "zeta": _number,
+    "sensitive": _string,
+    "label": _string,
+    "positive_label": _literal,
+    "features": _features,
+    "sensitive_order": _order,
+    "train_fraction": _number,
+    "trials": _integer,
+    "sensitive_as_feature": _flag,
+    "skip_undefined_groups": _flag,
+    **{name: partial(_build, cls) for name, cls in _SECTIONS.items()},
+}
+
+
+def config_from_dict(raw: dict) -> RunConfig:
+    return _build(RunConfig, "config", raw)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
-    """Read a JSON config file and apply flat overrides on top (flags win)."""
+    """Read a JSON config file and apply flat overrides on top (flags win).
+
+    overrides maps OVERRIDES keys to values; None leaves the file's value.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -272,14 +276,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key in ("data", "mechanism", "epsilon", "zeta", "seed"):
-            raw[key] = value
-        elif key in ("train_fraction", "trials"):
-            raw.setdefault("split", {})[key] = value
-        elif key in ("calibration", "sensitive_as_feature", "skip_undefined_groups"):
-            raw.setdefault("eval", {})[key] = value
-        else:
+        if key not in OVERRIDES:
             raise ConfigError(f"unknown override {key!r}")
+        section = OVERRIDES[key]
+        target = raw if section is None else raw.setdefault(section, {})
+        if not isinstance(target, dict):
+            raise ConfigError(f"{section} must be an object")
+        target[key] = value
     return config_from_dict(raw)
 
 
@@ -565,14 +568,8 @@ def cmd_evaluate(
             model, test, skip_undefined=config.eval.skip_undefined_groups
         )
         row = {"trial": t, "seed": trial_seed}
-        values = {
-            "accuracy": report.accuracy,
-            "sp_gap": report.sp_gap,
-            "eo_gap": report.eo_gap,
-            "meo_gap": report.meo_gap,
-            "eod_gap": report.eod_gap,
-        }
-        for name, value in values.items():
+        for name in METRICS:
+            value = getattr(report, name)
             row[name] = None if math.isnan(value) else float(value)
         return row
 
@@ -611,20 +608,8 @@ def cmd_sweep(
     if not epsilons:
         raise ConfigError("sweep needs a non-empty epsilon list")
     for eps in epsilons:
-        if not math.isfinite(eps) or eps <= 0.0:
-            raise InvalidEpsilon(eps)
-    mech_list = []
-    for m in mechanisms or [config.mechanism]:
-        if isinstance(m, Mechanism):
-            mech_list.append(m)
-            continue
-        try:
-            mech_list.append(Mechanism(m))
-        except ValueError:
-            names = [x.value for x in Mechanism]
-            raise ConfigError(
-                f"unknown mechanism {m!r}; expected one of {names}"
-            ) from None
+        check_epsilon(eps)
+    mech_list = [_mechanism("mechanism", m) for m in mechanisms or [config.mechanism]]
     rows = []
     for mech in mech_list:
         for eps in epsilons:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import Provenance, TabularDataset
+from .dataset import TabularDataset
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ def generate_planted(
         labels=labels,
         k=config.k,
         sensitive_name="group",
-        provenance=Provenance(source=f"planted:seed={seed}", config_digest="-"),
     )
 
 

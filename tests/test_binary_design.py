@@ -125,6 +125,8 @@ class TestOptBinary:
             opt_binary(d, 0.0)
         with pytest.raises(InvalidEpsilon):
             opt_binary(d, math.inf)
+        with pytest.raises(InvalidEpsilon):
+            opt_binary(d, 800.0)
         d3 = JointDistribution.from_rates([0.3, 0.3, 0.4], [0.2, 0.5, 0.8])
         with pytest.raises(NotBinary):
             opt_binary(d3, 1.0)

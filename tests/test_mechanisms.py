@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fairldp import mechanisms
 from fairldp.dataset import SubsetPerturbedDataset, TabularDataset
 from fairldp.distribution import JointDistribution, delta_prime, estimate_distribution
-from fairldp.errors import AlphabetMismatch, DegenerateOutput, InvalidEpsilon
+from fairldp.errors import MAX_EPSILON, AlphabetMismatch, DegenerateOutput, InvalidEpsilon
 from fairldp.kary_design import SolverConfig, min_achievable_error, solve_opt_k
 from fairldp.mechanisms import (
     BinaryMechanism,
@@ -129,6 +129,30 @@ class TestSsParams:
         omega, p_true = ss_params(6, 1.0)
         assert isinstance(omega, int)
         assert 0.0 < p_true < 1.0
+
+    def test_level_is_inf_once_p_true_rounds_to_one(self):
+        params = ss_params(2, 40.0)
+        assert params.p_true == 1.0
+        assert ss_privacy_level(params) == math.inf
+        assert not params.within(40.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda eps: grr_matrix(3, eps),
+        lambda eps: rr_mechanism(eps),
+        lambda eps: ss_params(3, eps),
+        lambda eps: verify_ldp(grr_matrix(3, 1.0), eps),
+        lambda eps: SolverConfig(epsilon=eps, zeta=0.5),
+    ],
+    ids=["grr", "rr", "ss", "verify_ldp", "solver_config"],
+)
+def test_epsilon_whose_exponential_overflows_is_rejected(build):
+    build(MAX_EPSILON)
+    for eps in (math.nextafter(MAX_EPSILON, math.inf), 800.0, math.inf, math.nan):
+        with pytest.raises(InvalidEpsilon):
+            build(eps)
 
 
 class TestSsPerturb:

@@ -1,17 +1,19 @@
 """Tests for run configuration, the five commands, and the CLI surface."""
 
+import argparse
 import builtins
 import hashlib
 import json
 import math
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairldp import kary_design
-from fairldp.cli import main
+from fairldp.cli import _add_config_options, build_parser, main
 from fairldp.dataset import ColumnsConfig, export_csv, ingest_csv
 from fairldp.distribution import delta, delta_prime, estimate_distribution
 from fairldp.errors import (
@@ -25,6 +27,7 @@ from fairldp.evaluation import TrainConfig, evaluate, train_logistic
 from fairldp.mechanisms import matrix_of_binary, perturb_dataset, rr_mechanism
 from fairldp.pipeline import (
     METRICS,
+    OVERRIDES,
     SPLIT_SALT,
     EvalSettings,
     Mechanism,
@@ -49,6 +52,31 @@ from fairldp.synthetic import PlantedConfig, generate_planted
 KARY_FIXTURE_OBJECTIVE = 0.022369605322278607
 
 COLUMNS = ColumnsConfig(sensitive="group", label="label", positive_label="1")
+
+# every field that has a default holds another value here
+OFF_DEFAULT = RunConfig(
+    data="tables/census.csv",
+    columns=ColumnsConfig(
+        sensitive="race",
+        label="income",
+        positive_label=">50K",
+        features=["age", "hours"],
+        sensitive_order=["w", "b", "o"],
+    ),
+    mechanism=Mechanism.OPT_KARY,
+    seed=12345,
+    epsilon=1.5,
+    zeta=0.3,
+    split=SplitConfig(train_fraction=0.6, trials=5),
+    eval=EvalSettings(
+        calibration="fixed", sensitive_as_feature=False, skip_undefined_groups=True
+    ),
+)
+# sha256 of render_json(OFF_DEFAULT.to_json_dict()) as a hand-written
+# to_json_dict rendered it, key by key
+OFF_DEFAULT_JSON_SHA256 = (
+    "3cf98d9dc9a947d726d64698f1bc181f41c510dc9ba6c003cab0e0bf52a8257b"
+)
 
 
 def base_config(data_path, **kw):
@@ -163,6 +191,20 @@ class TestRunConfig:
     def test_json_round_trip(self, planted_csv):
         cfg = base_config(planted_csv, mechanism=Mechanism.OPT_KARY, zeta=0.4)
         assert config_from_dict(cfg.to_json_dict()) == cfg
+
+    def test_json_round_trip_off_every_default(self):
+        cfg = OFF_DEFAULT
+        for part in (cfg, cfg.columns, cfg.split, cfg.eval):
+            for f in fields(part):
+                factory = f.default_factory
+                default = f.default if factory is MISSING else factory()
+                assert getattr(part, f.name) != default, f.name
+        assert config_from_dict(cfg.to_json_dict()) == cfg
+        assert config_from_dict(json.loads(render_json(cfg.to_json_dict()))) == cfg
+
+    def test_json_bytes_pinned(self):
+        text = render_json(OFF_DEFAULT.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == OFF_DEFAULT_JSON_SHA256
 
 
 class TestConfigFromDict:
@@ -288,6 +330,43 @@ class TestLoadConfig:
         path = self.write(tmp_path, config_dict(planted_csv))
         with pytest.raises(ConfigError, match="unknown override"):
             load_config(path, {"episode": 3})
+
+    def test_every_override_reaches_its_field(self, tmp_path, planted_csv):
+        values = {
+            "data": "other.csv",
+            "mechanism": "OptKary",
+            "seed": 11,
+            "epsilon": 3.0,
+            "zeta": 0.2,
+            "train_fraction": 0.5,
+            "trials": 4,
+            "calibration": "fixed",
+            "sensitive_as_feature": False,
+            "skip_undefined_groups": True,
+        }
+        assert set(values) == set(OVERRIDES)
+        cfg = load_config(self.write(tmp_path, config_dict(planted_csv)), values)
+        raw = cfg.to_json_dict()
+        assert {**raw, **raw["split"], **raw["eval"]}.items() >= values.items()
+
+    def test_override_into_a_section_that_is_not_an_object(self, tmp_path, planted_csv):
+        path = self.write(tmp_path, config_dict(planted_csv, split=[3]))
+        with pytest.raises(ConfigError, match="split must be an object"):
+            load_config(path, {"trials": 2})
+
+    def test_override_keys_are_the_config_flags(self):
+        bare = argparse.ArgumentParser()
+        _add_config_options(bare)
+        flags = {action.dest for action in bare._actions} - {"help", "config"}
+        assert flags == set(OVERRIDES)
+        commands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for name in ("design", "perturb", "evaluate", "sweep"):
+            dests = {action.dest for action in commands.choices[name]._actions}
+            assert flags <= dests, name
 
 
 class TestCmdDesign:
@@ -907,6 +986,57 @@ class TestCli:
         cfg = self.write_config(tmp_path, raw)
         assert main(["design", "--config", str(cfg)]) == 2
         assert "sensitive_order must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("columns", "sensitive", ["group"], "sensitive must be a string"),
+            ("columns", "label", {"name": "label"}, "label must be a string"),
+            (None, "data", None, "data must be a string"),
+            (None, "data", 3, "data must be a string"),
+            ("columns", "positive_label", True, "positive_label must be a string or"),
+            ("columns", "positive_label", None, "positive_label must be a string or"),
+        ],
+    )
+    def test_mistyped_column_names_exit(
+        self, tmp_path, planted_csv, section, key, value, message, capsys
+    ):
+        raw = config_dict(planted_csv)
+        (raw if section is None else raw[section])[key] = value
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["design", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_numeric_positive_label_is_its_literal(self, tmp_path, planted_csv, capsys):
+        raw = config_dict(planted_csv)
+        raw["columns"]["positive_label"] = 1
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["design", "--config", str(cfg)]) == 0
+        columns = json.loads(capsys.readouterr().out)["config"]["columns"]
+        assert columns["positive_label"] == "1"
+
+    @pytest.mark.parametrize("mechanism", ["GRR", "SS", "OptBinary", "OptKary"])
+    def test_epsilon_whose_exponential_overflows_exit(
+        self, tmp_path, planted_csv, mechanism, capsys
+    ):
+        cfg = self.write_config(tmp_path, config_dict(planted_csv, zeta=0.5))
+        argv = ["design", "--config", str(cfg), "--mechanism", mechanism]
+        assert main([*argv, "--epsilon", "800"]) == 2
+        assert "privacy budget must lie in" in capsys.readouterr().err
+
+    def test_sweep_epsilon_whose_exponential_overflows_exit(
+        self, tmp_path, planted_csv, capsys
+    ):
+        cfg = self.write_config(tmp_path, config_dict(planted_csv))
+        assert main(["sweep", "--config", str(cfg), "--epsilons", "1,800"]) == 2
+        assert "privacy budget must lie in" in capsys.readouterr().err
+
+    def test_subset_release_at_a_huge_epsilon_exit(self, tmp_path, planted_csv, capsys):
+        # p_true rounds to 1, so the level is inf and misses the budget
+        cfg = self.write_config(tmp_path, config_dict(planted_csv))
+        argv = ["design", "--config", str(cfg), "--mechanism", "SS"]
+        assert main([*argv, "--epsilon", "40"]) == 3
+        assert "violates the privacy bound" in capsys.readouterr().err
 
     def test_sensitive_order_codes_groups(self, tmp_path, capsys):
         data = tmp_path / "tri.csv"
