@@ -5,8 +5,11 @@ released attribute subject to privacy, truthfulness, and utility constraints.
 Every constraint is linear in the off-diagonal mechanism entries, and the
 disparity is a max of ratios of affine functions with positive denominators,
 so a generalized Dinkelbach iteration (Dinkelbach 1967; Crouzeix, Ferland &
-Schaible 1985) finds the optimum with one LP per step.  Every LP goes to
-HiGHS with its rows equilibrated, through the HiGHS bindings bundled with
+Schaible 1985) finds the optimum with one LP per step.  The LPs of one
+design differ only in their fairness rows and cost, so they share one HiGHS
+model (`DesignLp`): the static rows go in once, each later LP edits the
+model in place, and HiGHS starts it from the previous LP's basis.  HiGHS
+holds the rows equilibrated and is reached through the bindings bundled with
 scipy (`scipy.optimize._highspy`, scipy >= 1.15) rather than through
 `scipy.optimize.linprog`'s wrapper; results are checked against the unscaled
 rows.
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize._highspy._core import (
     HighsDebugLevel,
-    HighsLp,
     HighsModelStatus,
     HighsOptions,
     HighsStatus,
@@ -102,13 +104,6 @@ class LinearConstraintSystem:
     @property
     def num_vars(self) -> int:
         return self.A.shape[1]
-
-    def extended(self, extra: "LinearConstraintSystem") -> "LinearConstraintSystem":
-        return LinearConstraintSystem(
-            np.vstack([self.A, extra.A]),
-            np.concatenate([self.b, extra.b]),
-            self.labels + extra.labels,
-        )
 
     def slacks(self, x: np.ndarray) -> dict[str, float]:
         return dict(zip(self.labels, (self.b - self.A @ x).tolist()))
@@ -260,13 +255,122 @@ def fairness_rows_at(dist: JointDistribution, t: float) -> LinearConstraintSyste
     )
 
 
+def _equilibrated(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # every row scaled to a largest coefficient of 1, so HiGHS's tolerances
+    # mean the same on the privacy rows (coefficients up to e^epsilon) as on
+    # the fairness rows (coefficients of order 1/k)
+    scale = np.abs(A).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    return A / scale[:, None], b / scale
+
+
+class DesignLp:
+    """One HiGHS model that every LP of a design runs on, edited between runs.
+
+    Its rows are the static system over the `n` mechanism entries (free
+    columns), passed once.  The first `set_fairness` adds a column s, fixed
+    at 0 until `set_cost` frees it, and the fairness rows over the entries
+    and s; each later call replaces those rows.  HiGHS holds every row
+    equilibrated; `satisfied` checks a point against the rows as given.
+    Every edit keeps HiGHS's basis (a replaced row takes over its
+    predecessor's status), so each run after the first starts warm from the
+    previous run's basis.
+    """
+
+    def __init__(self, static: LinearConstraintSystem):
+        self.n = static.num_vars
+        self.static = static
+        self.fairness: LinearConstraintSystem | None = None
+        self.warm = False
+        self.highs = _Highs()
+        self.highs.passOptions(HIGHS_OPTIONS)
+        A, self.b = _equilibrated(static.A, static.b)
+        free = np.full(self.n, kHighsInf)
+        self.rejected = HighsStatus.kError in (
+            self.highs.addVars(self.n, -free, free),
+            self._add_rows(A, self.b),
+        )
+
+    def _add_rows(self, A: np.ndarray, b: np.ndarray) -> HighsStatus:
+        rows, cols = np.nonzero(A)
+        start = np.searchsorted(rows, np.arange(A.shape[0]))
+        return self.highs.addRows(
+            A.shape[0], np.full(b.size, -kHighsInf), b, rows.size, start, cols, A[rows, cols]
+        )
+
+    def set_fairness(self, rows: LinearConstraintSystem, s_coef: np.ndarray) -> None:
+        """Make `rows`, with s_coef in the s column, the model's fairness rows."""
+        rows = LinearConstraintSystem(
+            np.hstack([rows.A, s_coef[:, None]]), rows.b, rows.labels
+        )
+        A, b = _equilibrated(rows.A, rows.b)
+        if self.fairness is None:
+            self.rejected |= HighsStatus.kError in (
+                self.highs.addVars(1, np.zeros(1), np.zeros(1)),
+                self._add_rows(A, b),
+            )
+            self.b = np.concatenate([self.b, b])
+        else:
+            # the new rows go last, where the old ones were, so the basis
+            # HiGHS had still fits
+            basis = self.highs.getBasis()
+            first = self.static.A.shape[0]
+            self.rejected |= HighsStatus.kError in (
+                self.highs.deleteRows(b.size, np.arange(first, first + b.size)),
+                self._add_rows(A, b),
+                self.highs.setBasis(basis) if basis.valid else HighsStatus.kOk,
+            )
+            self.b[first:] = b
+        self.fairness = rows
+
+    def set_cost(self, cost: np.ndarray, s_cost: float | None = None) -> None:
+        """Minimize cost over the entries, plus s_cost s with s free once s
+        exists; s_cost None fixes s at 0 again."""
+        statuses = [self.highs.changeColsCost(self.n, np.arange(self.n), cost)]
+        if self.fairness is not None:
+            bound = 0.0 if s_cost is None else kHighsInf
+            statuses += [
+                self.highs.changeColCost(self.n, s_cost or 0.0),
+                self.highs.changeColBounds(self.n, -bound, bound),
+            ]
+        self.rejected |= HighsStatus.kError in statuses
+
+    def satisfied(self, x: np.ndarray, tol: float) -> bool:
+        """Whether x (the entries, then s once it exists) meets every row as
+        given within tol."""
+        return self.static.satisfied(x[: self.n], tol) and (
+            self.fairness is None or self.fairness.satisfied(x, tol)
+        )
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """The LP HiGHS holds now, as `scipy.optimize.linprog`'s (c, A_ub,
+        b_ub, bounds); every row's lower bound is -inf."""
+        lp = self.highs.getLp()
+        matrix = lp.a_matrix_
+        counts = np.diff(matrix.start_)
+        # the index and value arrays can run past the last start
+        nnz = matrix.start_[-1]
+        inner = np.asarray(matrix.index_[:nnz])
+        outer = np.repeat(np.arange(counts.size), counts)
+        rows, cols = (
+            (inner, outer)
+            if matrix.format_ == MatrixFormat.kColwise
+            else (outer, inner)
+        )
+        A = np.zeros((lp.num_row_, lp.num_col_))
+        A[rows, cols] = matrix.value_[:nnz]
+        bounds = list(zip(lp.col_lower_, lp.col_upper_))
+        return np.array(lp.col_cost_), A, np.array(lp.row_upper_), bounds
+
+
 @dataclass
 class LpResult:
     """One LP's outcome in `scipy.optimize.linprog`'s status codes.
 
     status 0 optimal, 1 iteration or time limit, 2 infeasible, 3 unbounded,
-    4 numerical difficulty or any other HiGHS status; x and fun are None
-    unless HiGHS reported an optimum.
+    4 numerical difficulty, a model HiGHS rejects, or any other HiGHS
+    status; x (every column of the model) and fun are None unless HiGHS
+    reported an optimum.
     """
 
     status: int
@@ -275,57 +379,28 @@ class LpResult:
     fun: float | None = None
 
 
-def linprog(c: np.ndarray, *, A_ub: np.ndarray, b_ub: np.ndarray) -> LpResult:
-    """Minimize c x subject to A_ub x <= b_ub over free x, on a fresh HiGHS.
-
-    Gives what `scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub,
-    bounds=(None, None), method="highs", options=...)` gives with both
-    feasibility tolerances at 1e-10, without that wrapper's input cleaning,
-    option checks and result fields.  An optimum whose x or fun is NaN, or
-    whose slack falls below -sqrt(1e-9) * 10, is downgraded to status 4, as
-    linprog's own result check does.  Each call gets a new HiGHS instance:
-    one reused across calls could warm-start from the previous basis and
-    return a different optimal vertex.
-
-    The name and the keywords are linprog's on purpose: benchmark tracers
-    and tests replace `kary_design.linprog` by name and read `b_ub`.
-    """
-    num_row, num_col = A_ub.shape
-    # column-wise nonzeros; lists cross into HiGHS faster than arrays do
-    cols, rows = np.nonzero(A_ub.T)
-    lp = HighsLp()
-    lp.num_col_ = num_col
-    lp.num_row_ = num_row
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = [-kHighsInf] * num_col
-    lp.col_upper_ = [kHighsInf] * num_col
-    lp.row_lower_ = [-kHighsInf] * num_row
-    lp.row_upper_ = b_ub.tolist()
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = num_col
-    lp.a_matrix_.num_row_ = num_row
-    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(num_col + 1)).tolist()
-    lp.a_matrix_.index_ = rows.tolist()
-    lp.a_matrix_.value_ = A_ub.T[cols, rows].tolist()
-
-    highs = _Highs()
-    highs.passOptions(HIGHS_OPTIONS)
-    if highs.passModel(lp) == HighsStatus.kError:
+def _run_highs(model: DesignLp) -> LpResult:
+    """One HiGHS run of the model's current LP, checked as linprog checks it."""
+    highs = model.highs
+    if model.rejected:
         model_status, ran = HighsModelStatus.kModelError, False
     else:
         ran = highs.run() != HighsStatus.kError
         model_status = highs.getModelStatus()
+        model.warm = True
     message = highs.modelStatusToString(model_status)
     x = fun = None
     if ran and model_status == HighsModelStatus.kOptimal:
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         fun = highs.getInfo().objective_function_value
-        slack = b_ub - np.array(solution.row_value)
+        slack = model.b - np.array(solution.row_value)
     elif ran:
         primal = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
         message = f"model_status is {message}; primal_status is {primal}"
     status, message = _highs_to_scipy_status_message(model_status, message)
+    if model_status == HighsModelStatus.kModelError:
+        status = 4
     if status == 0 and (
         x is None
         or np.isnan(x).any()
@@ -341,30 +416,58 @@ def linprog(c: np.ndarray, *, A_ub: np.ndarray, b_ub: np.ndarray) -> LpResult:
     return LpResult(status, message, x, fun)
 
 
-def _run_lp(system: LinearConstraintSystem, objective: np.ndarray):
-    # equilibrate: every row scaled to a largest coefficient of 1, so HiGHS's
-    # tolerances mean the same on the privacy rows (coefficients up to
-    # e^epsilon) as on the fairness rows (coefficients of order 1/k)
-    scale = np.abs(system.A).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    return linprog(objective, A_ub=system.A / scale[:, None], b_ub=system.b / scale)
+def linprog(model: DesignLp) -> LpResult:
+    """Minimize the model's current LP on its HiGHS instance.
+
+    A model's first run is cold and gives what `scipy.optimize.linprog(c,
+    A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs", options=...)`
+    gives for `model.dense()` with both feasibility tolerances at 1e-10,
+    without that wrapper's input cleaning, option checks and result fields.
+    Later runs start from the previous run's basis and may reach another
+    optimal vertex than a cold solve of the same LP; one that ends neither
+    optimal nor infeasible runs once more from a cleared solver, within
+    this call.
+
+    An optimum whose x or fun is NaN, or whose slack on the equilibrated
+    rows falls below -sqrt(1e-9) * 10, is downgraded to status 4, as
+    linprog's own result check does.  Unlike linprog, a model HiGHS rejects
+    (an `addRows` or edit error, or `kModelError`) is status 4, not 2:
+    HiGHS said nothing about feasibility.
+
+    Benchmark tracers and tests replace `kary_design.linprog` by name and
+    count one LP per call.
+    """
+    warm = model.warm
+    res = _run_highs(model)
+    if warm and res.status not in (0, 2):
+        model.highs.clearSolver()
+        res = _run_highs(model)
+    return res
 
 
 def _checked_point(
-    res, system: LinearConstraintSystem, tol: float, stage: str, t, problem: dict
+    res, model: DesignLp, tol: float, stage: str, t, problem: dict
 ) -> np.ndarray:
     """The LP's point, or a NumericalFailure saying where the LP failed."""
     if res.status != 0:
         reason = f"{stage} ended with status {res.status}"
         if t is not None:
             reason += f" at t={t}"
-    elif not system.satisfied(res.x, tol):
+    elif not model.satisfied(res.x, tol):
         reason = f"{stage} returned a point violating its own system"
     else:
         return np.asarray(res.x)
     raise NumericalFailure(
         reason, stage=stage, t=t, status=res.status, message=res.message, **problem
     )
+
+
+def _feasible_point(model: DesignLp, tol: float, t, problem: dict) -> np.ndarray | None:
+    """A point meeting the model's rows, or None if HiGHS finds none."""
+    res = linprog(model)
+    if res.status == 2:
+        return None
+    return _checked_point(res, model, tol, "feasibility solve", t, problem)
 
 
 def lp_feasible(
@@ -374,12 +477,8 @@ def lp_feasible(
 
     `t` and `problem` (k, epsilon, zeta) only label a NumericalFailure.
     """
-    res = _run_lp(system, np.zeros(system.num_vars))
-    if res.status == 2:
-        return Infeasible()
-    return FeasiblePoint(
-        _checked_point(res, system, tol, "feasibility solve", t, problem)
-    )
+    x = _feasible_point(DesignLp(system), tol, t, problem)
+    return Infeasible() if x is None else FeasiblePoint(x)
 
 
 def _utility_objective(dist: JointDistribution) -> np.ndarray:
@@ -399,14 +498,15 @@ def solve_opt_k(dist: JointDistribution, cfg: SolverConfig) -> KaryDesignResult:
     is optimal to within it; else t drops to the disparity of the new point
     and the step repeats, at most `max_bisection_iters` times.  Among
     mechanisms optimal at the final t, a last LP picks the one with the
-    smallest expected reporting error.  The certificate records each step's
-    (t, s) and the labeled slacks of the returned point.
+    smallest expected reporting error.  Every LP runs on one `DesignLp`.  The
+    certificate records each step's (t, s) and the labeled slacks of the
+    returned point.
     """
     try:
         return _dinkelbach_design(dist, cfg)
     except SolverError as err:
-        # the solver's frames hold every constraint matrix of the design; a
-        # caller that keeps the error would keep them all alive
+        # the solver's frames hold the design's constraint matrices and its
+        # HiGHS model; a caller that keeps the error would keep them alive
         raise err.with_traceback(None)
 
 
@@ -414,24 +514,30 @@ def _dinkelbach_design(dist: JointDistribution, cfg: SolverConfig) -> KaryDesign
     problem = {"k": dist.k, "epsilon": cfg.epsilon, "zeta": cfg.zeta}
     tol = cfg.feasibility_tol
     static = assemble_constraints(dist, cfg)
-    start = lp_feasible(static, tol, **problem)
-    if isinstance(start, Infeasible):
+    model = DesignLp(static)
+    start = _feasible_point(model, tol, None, problem)
+    if start is None:
         raise InfeasibleBudget(cfg.epsilon, cfg.zeta)
 
-    at_zero = static.extended(fairness_rows_at(dist, 0.0))
-    if isinstance(lp_feasible(at_zero, tol, t=0.0, **problem), FeasiblePoint):
+    no_s = np.zeros(2 * dist.k)
+    model.set_fairness(fairness_rows_at(dist, 0.0), no_s)
+    if _feasible_point(model, tol, 0.0, problem) is not None:
         t_star = 0.0
         trace = [(0.0, 0.0)]
     else:
-        t_star, trace = _dinkelbach_steps(dist, cfg, static, start.x, problem)
+        t_star, trace = _dinkelbach_steps(dist, cfg, model, start, problem)
 
-    final_system = static.extended(fairness_rows_at(dist, t_star))
-    res = _run_lp(final_system, _utility_objective(dist))
-    x = _checked_point(res, final_system, tol, "utility refinement", t_star, problem)
+    final = fairness_rows_at(dist, t_star)
+    model.set_fairness(final, no_s)
+    model.set_cost(_utility_objective(dist))
+    res = linprog(model)
+    x = _checked_point(res, model, tol, "utility refinement", t_star, problem)[:-1]
 
     Q = MechanismMatrix(dist.k, matrix_from_vars(x, dist.k))
     objective = delta(induced_distribution(dist, Q))
-    certificate = Certificate(iterations=trace, slacks=final_system.slacks(x))
+    certificate = Certificate(
+        iterations=trace, slacks={**static.slacks(x), **final.slacks(x)}
+    )
     return KaryDesignResult(
         Q=Q,
         objective=float(objective),
@@ -444,7 +550,7 @@ def _dinkelbach_design(dist: JointDistribution, cfg: SolverConfig) -> KaryDesign
 def _dinkelbach_steps(
     dist: JointDistribution,
     cfg: SolverConfig,
-    static: LinearConstraintSystem,
+    model: DesignLp,
     x: np.ndarray,
     problem: dict,
 ) -> tuple[float, list[tuple[float, float]]]:
@@ -456,13 +562,7 @@ def _dinkelbach_steps(
     one = fairness_rows_at(dist, 1.0)
     dA = one.A - zero.A
     db = one.b - zero.b
-    with_s = LinearConstraintSystem(
-        np.hstack([static.A, np.zeros((static.A.shape[0], 1))]),
-        static.b,
-        static.labels,
-    )
-    objective = np.zeros(with_s.num_vars)
-    objective[-1] = 1.0
+    model.set_cost(np.zeros(x.size), s_cost=1.0)
 
     def disparity(point: np.ndarray) -> tuple[float, np.ndarray]:
         g = db - dA @ point
@@ -471,16 +571,11 @@ def _dinkelbach_steps(
     t, g = disparity(x)
     trace: list[tuple[float, float]] = []
     for _ in range(cfg.max_bisection_iters):
-        system = with_s.extended(
-            LinearConstraintSystem(
-                np.hstack([zero.A + t * dA, -g[:, None]]),
-                zero.b + t * db,
-                zero.labels,
-            )
-        )
-        res = _run_lp(system, objective)
+        rows = LinearConstraintSystem(zero.A + t * dA, zero.b + t * db, zero.labels)
+        model.set_fairness(rows, -g)
+        res = linprog(model)
         xs = _checked_point(
-            res, system, cfg.feasibility_tol, "Dinkelbach step", t, problem
+            res, model, cfg.feasibility_tol, "Dinkelbach step", t, problem
         )
         trace.append((t, float(xs[-1])))
         if xs[-1] >= -0.1 * cfg.objective_tol:
@@ -493,14 +588,17 @@ def min_achievable_error(dist: JointDistribution, epsilon: float) -> float:
     """Smallest expected reporting error any compliant mechanism allows.
 
     Minimizes the utility-row left side over the static system without the
-    utility row itself; error budgets below this value are unsatisfiable at
-    the given privacy level.
+    utility row itself, on a model of its own; error budgets below this
+    value are unsatisfiable at the given privacy level.
     """
     cfg = SolverConfig(epsilon=epsilon, zeta=1.0)
     static = assemble_constraints(dist, cfg)
     # the utility row is the last one
-    trimmed = LinearConstraintSystem(static.A[:-1], static.b[:-1], static.labels[:-1])
-    res = _run_lp(trimmed, _utility_objective(dist))
+    model = DesignLp(
+        LinearConstraintSystem(static.A[:-1], static.b[:-1], static.labels[:-1])
+    )
+    model.set_cost(_utility_objective(dist))
+    res = linprog(model)
     problem = {"k": dist.k, "epsilon": epsilon, "zeta": None}
-    _checked_point(res, trimmed, cfg.feasibility_tol, "error minimization", None, problem)
+    _checked_point(res, model, cfg.feasibility_tol, "error minimization", None, problem)
     return float(res.fun)

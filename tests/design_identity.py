@@ -1,22 +1,22 @@
-"""Check that the design_grid designs do not depend on which HiGHS call runs.
+"""Report how far warm-started designs drift from designs solved cold.
 
     PYTHONPATH=src python tests/design_identity.py
 
 Designs each of the 967 design_grid k-ary instances (the 960 pool draws,
 the six fixed instances and the k=12 reproducer, from
-`fairbench/workloads.py`) twice: once as shipped, and once with
-`kary_design.linprog` replaced by `oracles.scipy_linprog`, the same LP
-through `scipy.optimize.linprog`.  Compares min_achievable_error, zeta and
-the design's JSON (Q.entries, objective, certificate.iterations and
-certificate.slacks, floats written by repr, so bit for bit), or the message
-of a NumericalFailure.  Prints the count of identical instances and a
-sha256 over each side's designs; exits 1 on any difference.
+`fairbench/workloads.py`) twice: once as shipped, where the LPs of a design
+share one warm-started HiGHS model, and once with `kary_design.linprog`
+replaced by `oracles.scipy_linprog`, so that every LP is solved cold through
+`scipy.optimize.linprog`.  Prints the failures on each side; how many
+designs are identical, moved by at most 1e-9 and moved by more (largest
+|change| of a Q entry); the largest |change| of the objective and of the
+expected reporting error; how many min_achievable_error values differ; and
+the LP solves on each side.  Exits 1 on any failure, or when an objective
+moves by more than the solver's `objective_tol`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 from pathlib import Path
 
@@ -41,36 +41,71 @@ def instances():
     yield workloads.reproducer_instance()
 
 
-def design_bytes(instance) -> bytes:
-    min_error, zeta, result = workloads.design_instance(instance)
-    if workloads.is_failure(result):
-        design = f"{type(result[2]).__name__}: {result[2]}"
-    else:
-        design = result.to_json_dict()
-    return json.dumps([min_error, zeta, design]).encode()
+def cold_linprog(model):
+    c, A, b, bounds = model.dense()
+    return scipy_linprog(c, A_ub=A, b_ub=b, bounds=bounds)
+
+
+def counting(solve, counter: list[int]):
+    def counted(model):
+        counter[0] += 1
+        return solve(model)
+
+    return counted
+
+
+def expected_error(dist, Q: np.ndarray) -> float:
+    return 1.0 - float(np.diag(Q) @ dist.group_probs)
 
 
 def main() -> int:
-    shipped = hashlib.sha256()
-    oracle = hashlib.sha256()
-    solve = kary_design.linprog
-    same = total = 0
-    for instance in instances():
-        kary_design.linprog = solve
-        ours = design_bytes(instance)
-        kary_design.linprog = scipy_linprog
-        theirs = design_bytes(instance)
-        total += 1
-        same += ours == theirs
-        if ours != theirs:
-            print(f"differs: k={instance[0]} eps={instance[1]} {instance[2]}")
-        shipped.update(ours)
-        oracle.update(theirs)
-    kary_design.linprog = solve
-    print(f"{same} of {total} instances identical")
-    print(f"sha256 shipped {shipped.hexdigest()}")
-    print(f"sha256 scipy   {oracle.hexdigest()}")
-    return 0 if same == total else 1
+    shipped = kary_design.linprog
+    solves = {"shipped": [0], "cold": [0]}
+    sides = {
+        "shipped": counting(shipped, solves["shipped"]),
+        "cold": counting(cold_linprog, solves["cold"]),
+    }
+    failures = {side: 0 for side in sides}
+    identical = small = large = min_error_moved = total = 0
+    max_q = max_objective = max_error = 0.0
+    try:
+        for instance in instances():
+            total += 1
+            results = {}
+            for side, solve in sides.items():
+                kary_design.linprog = solve
+                results[side] = workloads.design_instance(instance)
+                if workloads.is_failure(results[side]):
+                    failures[side] += 1
+                    print(f"{side} fails: k={instance[0]} eps={instance[1]} "
+                          f"{instance[2]}: {results[side][2]}")
+            if any(workloads.is_failure(r) for r in results.values()):
+                continue
+            (ours_min, _, ours), (cold_min, _, cold) = results.values()
+            min_error_moved += ours_min != cold_min
+            moved = float(np.max(np.abs(ours.Q.entries - cold.Q.entries)))
+            identical += moved == 0.0
+            small += 0.0 < moved <= 1e-9
+            large += moved > 1e-9
+            max_q = max(max_q, moved)
+            max_objective = max(max_objective, abs(ours.objective - cold.objective))
+            dist = instance[5]
+            max_error = max(
+                max_error,
+                abs(expected_error(dist, ours.Q.entries) - expected_error(dist, cold.Q.entries)),
+            )
+    finally:
+        kary_design.linprog = shipped
+    tol = kary_design.SolverConfig(epsilon=1.0, zeta=1.0).objective_tol
+    print(f"{total} instances; failures: shipped {failures['shipped']}, cold {failures['cold']}")
+    print(f"designs identical {identical}, moved <= 1e-9 {small}, moved > 1e-9 {large} "
+          f"(max |dQ| {max_q:.3g})")
+    print(f"max |d objective| {max_objective:.3g} (objective_tol {tol:g}); "
+          f"max |d expected error| {max_error:.3g}")
+    print(f"min_achievable_error differs on {min_error_moved}")
+    print(f"LP solves: shipped {solves['shipped'][0]}, cold {solves['cold'][0]}")
+    failed = any(failures.values()) or max_objective > tol
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ k-ary design (k <= 3) by a zooming grid search over the raw matrix entries.
 package's constraint encoding, whether a compliant matrix reaches a given
 disparity.  None of them shares code with the solver it checks beyond
 `var_index`/`matrix_from_vars` and the binary objective formula.
-`scipy_linprog` solves one design LP through `scipy.optimize.linprog`, the
-wrapper the package's own HiGHS call replaces.
+`scipy_linprog` solves one design LP cold through `scipy.optimize.linprog`,
+the wrapper the package's own HiGHS calls replace.
 """
 
 from __future__ import annotations
@@ -369,17 +369,19 @@ def all_entries_feasible(
     return res.status == 0
 
 
-def scipy_linprog(c, *, A_ub, b_ub):
-    """`kary_design.linprog`'s LP through `scipy.optimize.linprog`'s HiGHS.
+def scipy_linprog(c, *, A_ub, b_ub, bounds=(None, None)):
+    """A design LP through `scipy.optimize.linprog`'s HiGHS, solved cold.
 
-    Free variables, both feasibility tolerances at 1e-10, as the design
-    solver asked of linprog before it called HiGHS itself.
+    Free variables unless `bounds` says otherwise, both feasibility
+    tolerances at 1e-10, as the design solver asked of linprog before it
+    called HiGHS itself.  `kary_design.DesignLp.dense` gives a model's LP in
+    this form.
     """
     return linprog(
         c,
         A_ub=A_ub,
         b_ub=b_ub,
-        bounds=(None, None),
+        bounds=bounds,
         method="highs",
         options={
             "primal_feasibility_tolerance": 1e-10,

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import _Highs
 
 from fairldp.distribution import JointDistribution, delta
 from fairldp.errors import (
@@ -16,6 +17,7 @@ from fairldp.errors import (
 )
 from fairldp import kary_design
 from fairldp.kary_design import (
+    DesignLp,
     FeasiblePoint,
     Infeasible,
     LinearConstraintSystem,
@@ -562,9 +564,9 @@ class TestSolveOptK:
     def test_failure_does_not_keep_constraint_matrices(self, monkeypatch):
         solve = kary_design.linprog
 
-        def status_4_after_static(c, **kw):
-            res = solve(c, **kw)
-            if len(kw["b_ub"]) > 28:
+        def status_4_after_static(model):
+            res = solve(model)
+            if model.fairness is not None:
                 res.status = 4
             return res
 
@@ -574,7 +576,7 @@ class TestSolveOptK:
         tb = err.value.__traceback__
         while tb is not None:
             for value in tb.tb_frame.f_locals.values():
-                assert not isinstance(value, LinearConstraintSystem)
+                assert not isinstance(value, (LinearConstraintSystem, DesignLp, _Highs))
             tb = tb.tb_next
 
 
@@ -595,8 +597,8 @@ class TestSolveOptK:
         solve = kary_design.linprog
         calls = []
 
-        def status_4_once(c, **kw):
-            res = solve(c, **kw)
+        def status_4_once(model):
+            res = solve(model)
             calls.append(1)
             if len(calls) == fail_at:
                 res.status, res.message = 4, "forced"
@@ -619,8 +621,8 @@ class TestSolveOptK:
     def test_violating_point_is_a_failure(self, monkeypatch):
         solve = kary_design.linprog
 
-        def shifted(c, **kw):
-            res = solve(c, **kw)
+        def shifted(model):
+            res = solve(model)
             # every row-mass bound breaks: k - 1 entries above 1 each
             res.x = res.x + 1.0
             return res
@@ -632,15 +634,80 @@ class TestSolveOptK:
         assert err.value.status == 0
 
 
+class TestColdRetry:
+    """A warm run that ends neither optimal nor infeasible runs once more cold."""
+
+    def forced_runs(self, monkeypatch, failing):
+        """Count linprog calls and HiGHS runs; the runs numbered in `failing`
+        (1-based) end in status 4."""
+        calls, runs = [], []
+        solve, run = kary_design.linprog, kary_design._run_highs
+
+        def counted(model):
+            calls.append(1)
+            return solve(model)
+
+        def flaky(model):
+            res = run(model)
+            runs.append(1)
+            if len(runs) in failing:
+                res.status, res.message = 4, "forced"
+            return res
+
+        monkeypatch.setattr(kary_design, "linprog", counted)
+        monkeypatch.setattr(kary_design, "_run_highs", flaky)
+        return calls, runs
+
+    @pytest.mark.parametrize("run", [2, 3, -1])
+    def test_warm_failure_reruns_cold(self, monkeypatch, run):
+        dist, cfg = fixture_dist(), SolverConfig(1.0, 0.55)
+        shipped = solve_opt_k(dist, cfg)
+        fail_at = run if run > 0 else 3 + len(shipped.certificate.iterations)
+        calls, runs = self.forced_runs(monkeypatch, {fail_at})
+        res = solve_opt_k(dist, cfg)
+        assert len(calls) == 3 + len(res.certificate.iterations)
+        assert len(runs) == len(calls) + 1
+        assert res.objective == pytest.approx(shipped.objective, abs=cfg.objective_tol)
+        assert min(res.certificate.slacks.values()) >= -1e-9
+
+    def test_cold_failure_is_not_rerun(self, monkeypatch):
+        calls, runs = self.forced_runs(monkeypatch, {1})
+        with pytest.raises(NumericalFailure, match="feasibility solve ended with status 4"):
+            solve_opt_k(fixture_dist(), SolverConfig(1.0, 0.55))
+        assert len(calls) == len(runs) == 1
+
+    @pytest.mark.parametrize(
+        "call, stage",
+        [(2, "feasibility solve"), (3, "Dinkelbach step"), (-1, "utility refinement")],
+    )
+    def test_failed_retry_says_where(self, monkeypatch, call, stage):
+        dist, cfg = fixture_dist(), SolverConfig(1.0, 0.55)
+        trace = solve_opt_k(dist, cfg).certificate.iterations
+        fail_at = call if call > 0 else 3 + len(trace)
+        target = {2: 0.0, 3: trace[0][0], -1: trace[-1][0]}[call]
+        # the failing call's warm run and its cold rerun
+        calls, runs = self.forced_runs(monkeypatch, {fail_at, fail_at + 1})
+        with pytest.raises(NumericalFailure, match="ended with status 4") as err:
+            solve_opt_k(dist, cfg)
+        assert len(calls) == fail_at and len(runs) == fail_at + 1
+        assert err.value.stage == stage
+        assert err.value.t == target
+        assert err.value.status == 4
+        assert err.value.message == "forced"
+
+
 def design_lps(monkeypatch, dist, cfg):
-    """(c, A_ub, b_ub) of every LP that min_achievable_error and solve_opt_k
-    hand to HiGHS, equilibrated, in order."""
+    """Every LP that min_achievable_error and solve_opt_k hand to HiGHS, in
+    order: its equilibrated `DesignLp.dense()` form, whether it ran warm,
+    and what `linprog` returned."""
     lps = []
     solve = kary_design.linprog
 
-    def recording(c, **kw):
-        lps.append((c, kw["A_ub"], kw["b_ub"]))
-        return solve(c, **kw)
+    def recording(model):
+        lp, warm = model.dense(), model.warm
+        res = solve(model)
+        lps.append((lp, warm, res))
+        return res
 
     monkeypatch.setattr(kary_design, "linprog", recording)
     min_achievable_error(dist, cfg.epsilon)
@@ -663,6 +730,13 @@ def tiny_lp(name):
     return np.array(c), np.array(A), np.array(b)
 
 
+def tiny_model(name):
+    c, A, b = tiny_lp(name)
+    model = DesignLp(LinearConstraintSystem(A, b, tuple(f"r{i}" for i in range(b.size))))
+    model.set_cost(c)
+    return model
+
+
 class TestHighsCall:
     def test_matches_scipy_linprog_on_design_lps(self, monkeypatch):
         fair = JointDistribution.from_rates([0.5, 0.3, 0.2], [0.4, 0.4, 0.4])
@@ -672,18 +746,26 @@ class TestHighsCall:
             (loose, SolverConfig(2.0, 0.8)),
         ]
         statuses = Counter()
+        cold = 0
         for dist, cfg in cases:
-            for c, A, b in design_lps(monkeypatch, dist, cfg):
-                ours = kary_design.linprog(c, A_ub=A, b_ub=b)
-                ref = scipy_linprog(c, A_ub=A, b_ub=b)
+            for (c, A, b, bounds), warm, ours in design_lps(monkeypatch, dist, cfg):
+                ref = scipy_linprog(c, A_ub=A, b_ub=b, bounds=bounds)
                 assert ours.status == ref.status
-                assert ours.message == ref.message
                 statuses[ours.status] += 1
+                if not warm:
+                    # a cold run is scipy's own solve, bit for bit
+                    cold += 1
+                    assert ours.message == ref.message
+                    if ref.status == 0:
+                        assert ours.x.tobytes() == ref.x.tobytes()
+                        assert ours.fun == ref.fun
                 if ref.status == 0:
-                    assert ours.x.tobytes() == ref.x.tobytes()
-                    assert ours.fun == ref.fun
+                    # a warm run may end at another optimal vertex
+                    assert abs(ours.fun - ref.fun) <= 1e-12
                 else:
                     assert ours.x is None and ours.fun is None
+        # the min-error LP and each design's first LP run cold, the rest warm
+        assert cold == 2 * len(cases)
         # optimal LPs of every stage, and infeasible t = 0 probes
         assert statuses[0] > 3 * len(cases) and statuses[2] >= 4
 
@@ -691,7 +773,7 @@ class TestHighsCall:
     def test_tiny_failures_match_scipy_linprog(self, name):
         c, A, b = tiny_lp(name)
         _, status, highs_status = TINY_FAILURES[name]
-        ours = kary_design.linprog(c, A_ub=A, b_ub=b)
+        ours = kary_design.linprog(tiny_model(name))
         ref = scipy_linprog(c, A_ub=A, b_ub=b)
         assert ours.status == ref.status == status
         assert ours.message == ref.message
@@ -700,11 +782,10 @@ class TestHighsCall:
 
     @pytest.mark.parametrize("name", sorted(TINY_FAILURES))
     def test_highs_failure_reaches_lp_feasible(self, monkeypatch, name):
-        c, A, b = tiny_lp(name)
         _, status, highs_status = TINY_FAILURES[name]
-        real = kary_design.linprog(c, A_ub=A, b_ub=b)
+        real = kary_design.linprog(tiny_model(name))
         # hand the real failure to the feasibility solve of another system
-        monkeypatch.setattr(kary_design, "linprog", lambda c, **kw: real)
+        monkeypatch.setattr(kary_design, "linprog", lambda model: real)
         system = LinearConstraintSystem(np.ones((1, 1)), np.ones(1), ("cap",))
         if status == 2:
             assert isinstance(lp_feasible(system), Infeasible)
@@ -714,6 +795,18 @@ class TestHighsCall:
         assert err.value.stage == "feasibility solve"
         assert err.value.status == status
         assert f"(HiGHS Status {highs_status}: " in err.value.message
+
+    def test_rejected_model_is_not_infeasible(self):
+        # feasible, but its row bounds lie beyond HiGHS's infinite bound, so
+        # HiGHS rejects the model where scipy's linprog reports status 2
+        system = LinearConstraintSystem(
+            np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1e300, -1e299]), ("cap", "floor")
+        )
+        assert scipy_linprog(np.zeros(2), A_ub=system.A, b_ub=system.b).status == 2
+        with pytest.raises(NumericalFailure, match="feasibility solve ended with status 4") as err:
+            lp_feasible(system)
+        assert err.value.status == 4
+        assert "Model error" in err.value.message
 
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ValueError, match="must be finite"):
@@ -786,7 +879,13 @@ FAULT_LPS = [
 def test_equilibrated_rows_certify_the_failed_lps(name, zeta, t):
     dist, eps = FAULTS[name]
     cfg = SolverConfig(eps, zeta)
-    system = assemble_constraints(dist, cfg).extended(fairness_rows_at(dist, t))
+    static = assemble_constraints(dist, cfg)
+    rows = fairness_rows_at(dist, t)
+    system = LinearConstraintSystem(
+        np.vstack([static.A, rows.A]),
+        np.concatenate([static.b, rows.b]),
+        static.labels + rows.labels,
+    )
     assert isinstance(lp_feasible(system), Infeasible)
     assert solve_opt_k(dist, cfg).objective > t
 

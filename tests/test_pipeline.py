@@ -915,10 +915,12 @@ class TestCli:
     def test_numerical_failure_prints_where(self, tmp_path, kary_fixture_csv, monkeypatch, capsys):
         solve = kary_design.linprog
 
-        def refinement_fails(c, **kw):
-            res = solve(c, **kw)
-            # the utility refinement: an error objective over the 6 entries
-            if np.any(c) and len(c) == 6 and len(kw["b_ub"]) > 28:
+        def refinement_fails(model):
+            res = solve(model)
+            # the utility refinement: an error objective on the 6 entries,
+            # with the fairness rows in place
+            cost = model.dense()[0]
+            if model.fairness is not None and np.any(cost[:6]):
                 res.status, res.message = 4, "forced"
             return res
 
