@@ -5,13 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (
-    ConfigError,
-    DataError,
-    FairLdpError,
-    NumericalFailure,
-    SolverError,
-)
+from .errors import ConfigError, FairLdpError, NumericalFailure, SolverError
 from .evaluation import Calibration
 from .pipeline import (
     OVERRIDES,
@@ -123,12 +117,12 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(render_json(payload))
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, parse=str) -> list:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ConfigError(f"{what} list is empty")
     try:
-        return [float(part) for part in items]
+        return [parse(part) for part in items]
     except ValueError as err:
         raise ConfigError(f"bad {what} list: {err}") from None
 
@@ -156,14 +150,12 @@ def main(argv: list[str] | None = None) -> int:
                     fh.write(trials_csv(payload))
             _emit(payload, args.out)
         elif args.command == "sweep":
-            mechanisms = None
-            if args.mechanisms:
-                mechanisms = [
-                    part.strip() for part in args.mechanisms.split(",") if part.strip()
-                ]
+            mechanisms = args.mechanisms
+            if mechanisms is not None:
+                mechanisms = _parse_list(mechanisms, "mechanism")
             payload = cmd_sweep(
                 load_config(args.config, _overrides(args)),
-                _parse_float_list(args.epsilons, "epsilon"),
+                _parse_list(args.epsilons, "epsilon", float),
                 mechanisms=mechanisms,
                 out_path=args.out,
             )
@@ -177,24 +169,12 @@ def main(argv: list[str] | None = None) -> int:
             if not payload["ok"]:
                 print("error: verification failed", file=sys.stderr)
                 return EXIT_DATA
-    except ConfigError as err:
+    except (FairLdpError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        for name, value in err.details().items():
-            print(f"  {name}: {value}", file=sys.stderr)
-        return EXIT_SOLVER
-    except SolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except FairLdpError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(err, NumericalFailure):
+            for name, value in err.details().items():
+                print(f"  {name}: {value}", file=sys.stderr)
+        if isinstance(err, ConfigError):
+            return EXIT_CONFIG
+        return EXIT_SOLVER if isinstance(err, SolverError) else EXIT_DATA
     return 0

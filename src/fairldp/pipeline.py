@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import partial
@@ -113,15 +114,15 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed < MAX_SEED:
             raise ConfigError("seed must be an integer in [0, 2^63)")
-        if self.mechanism is not Mechanism.NON_PRIVATE:
-            if self.epsilon is None:
-                raise ConfigError(f"{self.mechanism.value} requires epsilon")
+        # a set epsilon or zeta is checked even where the mechanism ignores it
+        if self.epsilon is not None:
             check_epsilon(self.epsilon)
-        if self.mechanism is Mechanism.OPT_KARY:
-            if self.zeta is None:
-                raise ConfigError("OptKary requires zeta (the error budget)")
-            if not 0.0 <= self.zeta <= 1.0:
-                raise ConfigError(f"zeta must lie in [0, 1], got {self.zeta}")
+        elif self.mechanism is not Mechanism.NON_PRIVATE:
+            raise ConfigError(f"{self.mechanism.value} requires epsilon")
+        if self.zeta is not None and not 0.0 <= self.zeta <= 1.0:
+            raise ConfigError(f"zeta must lie in [0, 1], got {self.zeta}")
+        if self.mechanism is Mechanism.OPT_KARY and self.zeta is None:
+            raise ConfigError("OptKary requires zeta (the error budget)")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "mechanism": self.mechanism.value}
@@ -144,33 +145,31 @@ OVERRIDES: dict[str, str | None] = {
 }
 
 
-def _number(name: str, value) -> float:
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{name} must be a number, got {value!r}")
+# JSON field parsers.  Those with an error argument serve the run config and
+# both reports, and raise it on a mistyped value: ConfigError or DataError.
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _expect(ok: bool, name: str, value, what: str):
-    """value if ok; otherwise ConfigError: name must be what."""
+def _expect(ok: bool, name: str, value, what: str, error=ConfigError):
+    """value if ok; otherwise error: name must be what."""
     if not ok:
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+        raise error(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def _finite(value) -> bool:
+    """A finite JSON number: an int or a float, not a bool and not a string."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
+def _number(name: str, value, error=ConfigError) -> float:
+    return float(_expect(_finite(value), name, value, "a number", error))
+
+
+def _integer(name: str, value, error=ConfigError) -> int:
+    """An int, or a float with an integral value."""
+    ok = _finite(value) and float(value).is_integer()
+    return int(_expect(ok, name, value, "an integer", error))
 
 
 def _flag(name: str, value) -> bool:
@@ -181,10 +180,35 @@ def _string(name: str, value) -> str:
     return _expect(isinstance(value, str), name, value, "a string")
 
 
+def _nullable(shape):
+    """shape, with null standing for None."""
+    return lambda name, v, error: None if v is None else _shaped(name, v, shape, error)
+
+
+def _shaped(name: str, value, shape, error=ConfigError):
+    """value parsed to shape.
+
+    A shape is a parser; a one-item list, for a non-empty list of that shape;
+    or a dict of shapes, for an object that holds each of its keys.  Other
+    keys of an object pass through unparsed.
+    """
+    if isinstance(shape, list):
+        _expect(isinstance(value, list) and value, name, value, "a non-empty list", error)
+        return [_shaped(name, v, shape[0], error) for v in value]
+    if not isinstance(shape, dict):
+        return shape(name, value, error)
+    _expect(isinstance(value, dict), name, value, "an object", error)
+    parsed = dict(value)
+    for key, item in shape.items():
+        if key not in value:
+            raise error(f"{name} is missing {key!r}")
+        parsed[key] = _shaped(f"{name}[{key!r}]", value[key], item, error)
+    return parsed
+
+
 def _literal(name: str, value) -> str:
     """A cell literal: a string, or a number as str() writes it."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    ok = number or isinstance(value, str)
+    ok = _finite(value) or isinstance(value, str)
     return str(_expect(ok, name, value, "a string or a number"))
 
 
@@ -217,8 +241,7 @@ def _build(cls, where: str, raw):
     An absent key takes the field's default; null stands for a None default.
     Fields without a parser here are checked by the dataclass itself.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object")
+    _expect(isinstance(raw, dict), where, raw, "an object")
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -264,15 +287,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
     overrides maps OVERRIDES keys to values; None leaves the file's value.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file is not valid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+    raw = _read_json(path, "config file", ConfigError)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -280,10 +295,23 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"unknown override {key!r}")
         section = OVERRIDES[key]
         target = raw if section is None else raw.setdefault(section, {})
-        if not isinstance(target, dict):
-            raise ConfigError(f"{section} must be an object")
+        _expect(isinstance(target, dict), section, target, "an object")
         target[key] = value
     return config_from_dict(raw)
+
+
+def _read_json(path: str | Path, what: str, error=DataError) -> dict:
+    """A JSON file whose root is an object; anything else raises error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as err:
+        raise error(f"{what} is not valid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise error(f"{what}'s JSON root is not an object")
+    return payload
 
 
 def render_json(payload: dict) -> str:
@@ -292,11 +320,6 @@ def render_json(payload: dict) -> str:
 
 def write_json(payload: dict, path: str | Path) -> None:
     Path(path).write_text(render_json(payload), encoding="utf-8")
-
-
-def _finite_or_none(value: float) -> float | None:
-    value = float(value)
-    return value if math.isfinite(value) else None
 
 
 def design_mechanism(dist, config: RunConfig) -> tuple[MechanismMatrix | SsParams, dict]:
@@ -335,7 +358,7 @@ def _check_emitted_mechanism(mech, epsilon: float | None) -> float | None:
         raise NumericalFailure(
             f"designed mechanism violates the privacy bound at epsilon={epsilon}"
         )
-    return _finite_or_none(level)
+    return level if _finite(level) else None
 
 
 def _predicted(mech, dist: JointDistribution) -> dict:
@@ -396,58 +419,74 @@ def cmd_design(config: RunConfig, out_path: str | Path | None = None) -> dict:
     return payload
 
 
-def mechanism_from_payload(payload: dict) -> MechanismMatrix | SsParams:
-    """Rebuild the mechanism object a design report describes.
-
-    Any malformed mechanism raises DataError.
-    """
+def _rebuilt(build, *args):
+    """build(*args) on a design report's values; a value it rejects is a DataError."""
     try:
-        if payload.get("ss") is not None:
-            return _ss_from_payload(payload)
-        entries = payload.get("entries")
-        if entries is None:
-            raise DataError("design report has neither entries nor subset parameters")
-        return MechanismMatrix(int(payload["k"]), np.array(entries, dtype=float))
-    except KeyError as missing:
-        raise DataError(f"design report is missing {missing}") from None
-    except (TypeError, ValueError, OverflowError, InvalidEpsilon) as err:
-        raise DataError(f"design report holds a malformed mechanism: {err}") from None
+        return build(*args)
+    except (ValueError, InvalidEpsilon) as err:
+        raise DataError(f"design report holds an invalid value: {err}") from None
 
 
-def _ss_from_payload(payload: dict) -> SsParams:
-    """Subset parameters rebuilt from the report's ss.k and ss.epsilon.
+# The shape of each report field that perturb or verify reads.  A field of the
+# wrong shape is rejected by every command that reads the report, an absent
+# one only by the command that needs it.
+_METRIC = _nullable(_number)
+_DESIGN_FIELDS = {
+    "k": _integer,
+    "epsilon": _number,
+    "entries": [[_number]],
+    "ss": {"k": _integer, "epsilon": _number},
+    "dist": {"group_probs": [_number], "pos_rates": [_number]},
+    "eps_star": _number,
+    "predicted": {"delta": _number, "delta_prime": _number},
+    "min_achievable_error": _number,
+}
+_EVALUATE_REPORT = {
+    "trials": [dict.fromkeys(METRICS, _METRIC)],
+    "summary": dict.fromkeys(METRICS, dict.fromkeys(("mean", "ci_low", "ci_high"), _METRIC)),
+}
 
-    Every other value the ss block records, and the report's top-level
-    epsilon where present, must match the rebuilt parameters.
+
+def _read_design(path: str | Path, what: str) -> tuple[dict, dict]:
+    """A design report, and each field of it that perturb or verify reads, parsed.
+
+    A field the report lacks is left out and a null one reads as None; a
+    mistyped one raises DataError.
     """
-    recorded = payload["ss"]
-    params = ss_params(int(recorded["k"]), float(recorded["epsilon"]))
+    payload = _read_json(path, what)
+    return payload, {
+        key: _shaped(f"design report[{key!r}]", payload[key], _nullable(shape), DataError)
+        for key, shape in _DESIGN_FIELDS.items()
+        if key in payload
+    }
+
+
+def mechanism_from_payload(report: dict) -> MechanismMatrix | SsParams:
+    """Rebuild the mechanism a design report's parsed fields describe.
+
+    Every value a subset report's ss block records, and its top-level epsilon
+    where present, must match the parameters rebuilt from ss.k and
+    ss.epsilon.  Any malformed mechanism raises DataError.
+    """
+    ss = report.get("ss")
+    if ss is None:
+        if report.get("entries") is None:
+            raise DataError("design report has neither entries nor subset parameters")
+        if report.get("k") is None:
+            raise DataError("design report is missing 'k'")
+        return _rebuilt(MechanismMatrix, report["k"], report["entries"])
+    params = _rebuilt(ss_params, ss["k"], ss["epsilon"])
     rebuilt = params.report_fields()["ss"]
-    fields = [(f"ss.{name}", v, rebuilt.get(name)) for name, v in recorded.items()]
-    if "epsilon" in payload:
-        fields.append(("epsilon", payload["epsilon"], params.epsilon))
+    fields = [(f"ss.{name}", v, rebuilt.get(name)) for name, v in ss.items()]
+    if "epsilon" in report:
+        fields.append(("epsilon", report["epsilon"], params.epsilon))
     for name, value, expected in fields:
-        number = type(value) in (int, float)  # a JSON number; a bool is not one
-        if not (number and expected is not None and abs(value - expected) <= 1e-9):
+        if not (_finite(value) and expected is not None and abs(value - expected) <= 1e-9):
             raise DataError(
                 f"design report's {name} = {value!r} does not match {expected!r}, "
                 "rebuilt from ss.k and ss.epsilon"
             )
     return params
-
-
-def _read_report(path: str | Path, what: str) -> dict:
-    """A JSON report whose root is an object; anything else raises DataError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{what} not found: {path}") from None
-    except json.JSONDecodeError as err:
-        raise DataError(f"{what} is not valid JSON: {err}") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{what}'s JSON root is not an object")
-    return payload
 
 
 def _payload_hash(payload: dict) -> str:
@@ -468,8 +507,8 @@ def cmd_perturb(
     design-report hash so outputs are attributable.  The input is read once:
     ingest_csv parses the same rows that are then rewritten.
     """
-    payload = _read_report(mechanism_path, "mechanism file")
-    mech = mechanism_from_payload(payload)
+    payload, report = _read_design(mechanism_path, "mechanism file")
+    mech = mechanism_from_payload(report)
     header, rows = _read_rows(config.data)
     dataset = ingest_csv(config.data, config.columns, table=(header, rows))
     result = perturb_dataset(dataset, mech, config.seed)
@@ -605,28 +644,20 @@ def cmd_sweep(
     out_path: str | Path | None = None,
 ) -> dict:
     """Evaluate every (mechanism, epsilon) pair into one long-format table."""
-    if not epsilons:
-        raise ConfigError("sweep needs a non-empty epsilon list")
+    mechanisms = [config.mechanism] if mechanisms is None else mechanisms
+    if not epsilons or not mechanisms:
+        raise ConfigError("sweep needs a non-empty epsilon and mechanism list")
     for eps in epsilons:
         check_epsilon(eps)
-    mech_list = [_mechanism("mechanism", m) for m in mechanisms or [config.mechanism]]
+    mech_list = [_mechanism("mechanism", m) for m in mechanisms]
     rows = []
     for mech in mech_list:
         for eps in epsilons:
             sub = replace(config, mechanism=mech, epsilon=float(eps))
             report = cmd_evaluate(sub)
             for metric in METRICS:
-                stats = report["summary"][metric]
-                rows.append(
-                    {
-                        "mechanism": mech.value,
-                        "epsilon": float(eps),
-                        "metric": metric,
-                        "mean": stats["mean"],
-                        "ci_low": stats["ci_low"],
-                        "ci_high": stats["ci_high"],
-                    }
-                )
+                row = {"mechanism": mech.value, "epsilon": float(eps), "metric": metric}
+                rows.append({**row, **report["summary"][metric]})
     payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
     if out_path is not None:
         write_json(payload, out_path)
@@ -654,19 +685,11 @@ def cmd_verify(
     design report from its own recorded distribution; for an evaluate report
     it recomputes the summary from the per-trial rows.
     """
-    payload = _read_report(design_path, "design report")
-    try:
-        checks = _verify_design(payload)
-    except KeyError as missing:
-        raise DataError(f"design report is missing {missing}") from None
-
+    checks = _verify_design(_read_design(design_path, "design report")[1])
     if report_path is not None:
-        report = _read_report(report_path, "evaluate report")
-        try:
-            checks["summary"] = _verify_summary(report)
-        except KeyError as missing:
-            raise DataError(f"evaluate report is missing {missing}") from None
-
+        report = _read_json(report_path, "evaluate report")
+        report = _shaped("evaluate report", report, _EVALUATE_REPORT, DataError)
+        checks["summary"] = _verify_summary(report)
     return {
         "schema_version": SCHEMA_VERSION,
         "ok": all(checks.values()),
@@ -674,41 +697,38 @@ def cmd_verify(
     }
 
 
-def _verify_design(payload: dict) -> dict[str, bool]:
+def _verify_design(design: dict) -> dict[str, bool]:
     checks: dict[str, bool] = {}
-    epsilon = payload.get("epsilon")
-    dist = JointDistribution.from_rates(
-        payload["dist"]["group_probs"], payload["dist"]["pos_rates"]
-    )
-    mech = mechanism_from_payload(payload)
+    if design.get("dist") is None:
+        raise DataError("design report is missing 'dist'")
+    gp, pr = design["dist"]["group_probs"], design["dist"]["pos_rates"]
+    dist = _rebuilt(JointDistribution.from_rates, gp, pr)
+    mech = mechanism_from_payload(design)
+    epsilon = design.get("epsilon")
     if epsilon is not None:
-        checks["ldp"] = mech.within(float(epsilon))
+        checks["ldp"] = _rebuilt(mech.within, epsilon)
     level = mech.privacy_level()
-    recorded = payload.get("eps_star")
+    recorded = design.get("eps_star")
     if recorded is None:
         checks["eps_star"] = not math.isfinite(level)
     else:
         checks["eps_star"] = abs(level - recorded) <= 1e-9
-    predicted = payload.get("predicted") or {}
+    predicted = design.get("predicted") or {}
     for name, value in _predicted(mech, dist).items():
         checks[f"predicted_{name}"] = abs(value - predicted.get(name, math.nan)) <= 1e-9
-    if epsilon is not None and payload.get("min_achievable_error") is not None:
-        recomputed = min_achievable_error(dist, float(epsilon))
-        checks["min_achievable_error"] = (
-            abs(recomputed - payload["min_achievable_error"]) <= 1e-9
-        )
+    recorded = design.get("min_achievable_error")
+    if epsilon is not None and recorded is not None:
+        recomputed = min_achievable_error(dist, epsilon)
+        checks["min_achievable_error"] = abs(recomputed - recorded) <= 1e-9
 
     return checks
 
 
 def _verify_summary(report: dict) -> bool:
     resummed = _summarize(report["trials"])
-    for metric in METRICS:
-        for key in ("mean", "ci_low", "ci_high"):
-            a = resummed[metric][key]
-            b = report["summary"][metric][key]
-            if (a is None) != (b is None):
-                return False
-            if a is not None and abs(a - b) > 1e-12:
-                return False
-    return True
+    pairs = [
+        (resummed[metric][key], report["summary"][metric][key])
+        for metric in METRICS
+        for key in ("mean", "ci_low", "ci_high")
+    ]
+    return all(a is b if None in (a, b) else abs(a - b) <= 1e-12 for a, b in pairs)

@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import copy
 import hashlib
 import json
 import math
@@ -133,6 +134,16 @@ def fair_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def fresh_reports(tmp_path_factory, planted_csv):
+    """A GRR design report and an evaluate report of planted_csv, as dicts."""
+    root = tmp_path_factory.mktemp("reports")
+    cmd_design(base_config(planted_csv), root / "design.json")
+    cmd_evaluate(base_config(planted_csv), root / "eval.json")
+    names = ("design.json", "eval.json")
+    return [json.loads((root / name).read_text(encoding="utf-8")) for name in names]
+
+
+@pytest.fixture(scope="session")
 def kary_fixture_csv(tmp_path_factory):
     # exact counts reproducing group_probs (0.5, 0.3, 0.2), pos_rates (0.2, 0.5, 0.8)
     path = tmp_path_factory.mktemp("data") / "kary.csv"
@@ -160,6 +171,9 @@ class TestRunConfig:
         for eps in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidEpsilon):
                 base_config(planted_csv, epsilon=eps)
+            # a set epsilon is checked even where the mechanism ignores it
+            with pytest.raises(InvalidEpsilon):
+                base_config(planted_csv, mechanism=Mechanism.NON_PRIVATE, epsilon=eps)
 
     def test_zeta_required_iff_optkary(self, planted_csv):
         with pytest.raises(ConfigError):
@@ -170,6 +184,10 @@ class TestRunConfig:
             base_config(planted_csv, mechanism=Mechanism.OPT_KARY, zeta=1.5)
         # other mechanisms may carry zeta so one config can drive a sweep
         assert base_config(planted_csv, zeta=0.5).zeta == 0.5
+        # but a zeta they carry must still be a valid budget
+        for zeta in (1.5, -0.1, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="zeta must lie in"):
+                base_config(planted_csv, zeta=zeta)
 
     def test_seed_range(self, planted_csv):
         with pytest.raises(ConfigError):
@@ -247,12 +265,26 @@ class TestConfigFromDict:
 
 
     def test_wrongly_typed_values(self, planted_csv):
-        for key, value in (("epsilon", "one"), ("seed", "x"), ("zeta", [0.5])):
+        for key, value in (
+            ("epsilon", "one"),
+            ("seed", "x"),
+            ("zeta", [0.5]),
+            # a quoted number is a string, and NaN or Infinity no number at all
+            ("epsilon", " 1.5 "),
+            ("seed", "5"),
+            ("zeta", math.nan),
+            ("epsilon", math.inf),
+            ("epsilon", True),
+        ):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict(config_dict(planted_csv, **{key: value}))
         raw = config_dict(planted_csv)
         raw["columns"]["features"] = "x"
         with pytest.raises(ConfigError, match="features"):
+            config_from_dict(raw)
+        raw = config_dict(planted_csv)
+        raw["split"]["trials"] = "3"
+        with pytest.raises(ConfigError, match="trials"):
             config_from_dict(raw)
 
     def test_unknown_section_keys(self, planted_csv):
@@ -719,6 +751,8 @@ class TestCmdSweep:
     def test_empty_epsilon_list(self, planted_csv):
         with pytest.raises(ConfigError):
             cmd_sweep(base_config(planted_csv), [])
+        with pytest.raises(ConfigError):
+            cmd_sweep(base_config(planted_csv), [1.0], mechanisms=[])
 
     def test_bad_epsilon(self, planted_csv):
         with pytest.raises(InvalidEpsilon):
@@ -849,6 +883,8 @@ class TestCmdVerify:
         [
             pytest.param(lambda p: p["ss"].update(omega=2), id="omega"),
             pytest.param(lambda p: p["ss"].update(omega="1"), id="omega-str"),
+            pytest.param(lambda p: p["ss"].update(omega=True), id="omega-bool"),
+            pytest.param(lambda p: p["ss"].update(p_true=math.nan), id="p-true-nan"),
             pytest.param(lambda p: p["ss"].update(p_true=0.5), id="p-true"),
             pytest.param(lambda p: p["ss"].update(p_off=0.5), id="p-off"),
             pytest.param(lambda p: p["ss"].update(epsilon=0.8), id="ss-epsilon"),
@@ -871,6 +907,65 @@ class TestCmdVerify:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataError, match="'dist'"):
             cmd_verify(path)
+
+
+def _set(path: list, value):
+    """A change that sets the JSON value at path (keys and indices)."""
+
+    def change(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+
+    return change
+
+
+# Malformed input through the CLI: (what to change, the change, exit code).
+# "design" and "evaluate" change a fresh report and run verify on it,
+# "config" changes the config file and runs design, and "flags" runs a
+# command with these flags after --config.  Mistyped design-report fields
+# that perturb rejects too are cases of test_malformed_mechanism_exit.
+MALFORMED_INPUT_PROBES = [
+    pytest.param("design", _set(["epsilon"], -1), 4, id="design-epsilon-negative"),
+    pytest.param("design", lambda p: p.pop("dist"), 4, id="design-dist-deleted"),
+    pytest.param(
+        "design", _set(["dist", "group_probs"], [0.6, 0.5]), 4, id="design-group-probs-sum"
+    ),
+    pytest.param("evaluate", _set(["trials"], "x"), 4, id="trials-str"),
+    pytest.param("evaluate", _set(["trials"], []), 4, id="trials-empty"),
+    pytest.param("evaluate", _set(["trials", 0], [1]), 4, id="trial-row-list"),
+    pytest.param(
+        "evaluate", _set(["trials", 0, "accuracy"], "0.5"), 4, id="trial-metric-str"
+    ),
+    pytest.param("evaluate", _set(["summary"], []), 4, id="summary-list"),
+    pytest.param(
+        "evaluate", _set(["summary", "accuracy", "mean"], "0.5"), 4, id="summary-mean-str"
+    ),
+    pytest.param(
+        "evaluate", _set(["summary", "accuracy", "mean"], math.nan), 4, id="summary-mean-nan"
+    ),
+    pytest.param("config", _set(["epsilon"], " 1.5 "), 2, id="config-epsilon-str"),
+    pytest.param("config", _set(["seed"], "5"), 2, id="config-seed-str"),
+    pytest.param("config", _set(["split"], {"trials": "3"}), 2, id="config-trials-str"),
+    pytest.param("config", _set(["zeta"], math.nan), 2, id="config-zeta-nan"),
+    pytest.param("flags", ["design", "--zeta", "nan"], 2, id="design-zeta-nan"),
+    pytest.param("flags", ["design", "--zeta", "inf"], 2, id="design-zeta-inf"),
+    pytest.param("flags", ["design", "--zeta", "5"], 2, id="design-zeta-5"),
+    pytest.param(
+        "flags",
+        ["evaluate", "--mechanism", "NonPrivate", "--epsilon", "inf"],
+        2,
+        id="evaluate-nonprivate-epsilon-inf",
+    ),
+    pytest.param(
+        "flags", ["sweep", "--epsilons", "1", "--zeta", "nan"], 2, id="sweep-zeta-nan"
+    ),
+    pytest.param(
+        "flags", ["sweep", "--epsilons", "1", "--mechanisms", ","], 2, id="sweep-no-mechanisms"
+    ),
+    pytest.param("flags", ["sweep", "--epsilons", ","], 2, id="sweep-no-epsilons"),
+]
 
 
 class TestCli:
@@ -1066,6 +1161,31 @@ class TestCli:
                 ),
                 id="ss-p-true",
             ),
+            pytest.param(
+                lambda p: p.update(ss={"k": "2", "epsilon": 1.0}, entries=None),
+                id="ss-k-str",
+            ),
+            pytest.param(
+                lambda p: p.update(ss={"k": 2, "epsilon": "1.0"}, entries=None),
+                id="ss-epsilon-str",
+            ),
+            # fields only verify uses, but present and mistyped: both commands
+            # reject them
+            pytest.param(lambda p: p.update(epsilon="x"), id="epsilon-str"),
+            pytest.param(lambda p: p.update(epsilon=True), id="epsilon-bool"),
+            pytest.param(lambda p: p.update(epsilon=math.nan), id="epsilon-nan"),
+            pytest.param(lambda p: p.update(k="2"), id="k-str"),
+            pytest.param(lambda p: p.update(k=2.5), id="k-fraction"),
+            pytest.param(
+                lambda p: p.update(predicted={"delta": None, "delta_prime": 0.1}),
+                id="predicted-null",
+            ),
+            pytest.param(lambda p: p.update(predicted=[1]), id="predicted-list"),
+            pytest.param(lambda p: p.update(eps_star="x"), id="eps-star-str"),
+            pytest.param(
+                lambda p: p.update(min_achievable_error="x"), id="min-error-str"
+            ),
+            pytest.param(lambda p: p.update(dist=[1]), id="dist-list"),
         ],
     )
     def test_malformed_mechanism_exit(self, tmp_path, planted_csv, capsys, tamper):
@@ -1085,6 +1205,35 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("error: design report")
         assert not out.exists()
+
+    @pytest.mark.parametrize("target, change, code", MALFORMED_INPUT_PROBES)
+    def test_malformed_input_exit(
+        self, tmp_path, planted_csv, fresh_reports, capsys, target, change, code
+    ):
+        raw = config_dict(planted_csv)
+        design, report = copy.deepcopy(fresh_reports)
+        if target != "flags":
+            change({"config": raw, "design": design, "evaluate": report}[target])
+        cfg = self.write_config(tmp_path, raw)
+        paths = [tmp_path / "design.json", tmp_path / "eval.json"]
+        for path, payload in zip(paths, (design, report)):
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        if target == "flags":
+            argv = [change[0], "--config", str(cfg), *change[1:]]
+        elif target == "config":
+            argv = ["design", "--config", str(cfg)]
+        else:
+            argv = ["verify", *map(str, paths)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        if target == "design":
+            # a field only verify needs: perturb still applies the mechanism
+            out = tmp_path / "pert.csv"
+            perturb = ["perturb", "--config", str(cfg), "--mechanism-file"]
+            assert main([*perturb, str(paths[0]), "--out", str(out)]) == 0
+            assert out.exists()
 
     @pytest.mark.parametrize("root", [[1, 2], "x", 3, None])
     def test_non_object_design_root_exit(self, tmp_path, planted_csv, capsys, root):
